@@ -31,6 +31,10 @@
 // -min-respcache-speedup holds both of sliccd's warm-GET fast paths —
 // cached response bytes and If-None-Match 304s — at N times the uncached
 // marshal (server.BenchmarkServerWarmGet sub-benchmarks).
+// -max-tiny-fixed-share is a host-independent ceiling rather than a ratio
+// of two series: runner.BenchmarkTinyCell reports the share of a tiny
+// cell's wall-clock spent outside the simulation loop (workload and machine
+// construction, result handling), and the gate fails when it exceeds N.
 //
 // -baseline takes a comma-separated list of trajectory files. Baseline
 // names may carry a "pkg." prefix (e.g. "store.BenchmarkPut" for
@@ -58,6 +62,7 @@ func main() {
 		minWarm  = flag.Float64("min-warm-speedup", 0, "minimum BenchmarkStoreColdRun/BenchmarkStoreWarmRun ns/op ratio (0 disables)")
 		minMem   = flag.Float64("min-mem-speedup", 0, "minimum BenchmarkGetHit/BenchmarkGetHitMem ns/op ratio — disk vs memory-tier store hit (0 disables)")
 		minResp  = flag.Float64("min-respcache-speedup", 0, "minimum BenchmarkServerWarmGet uncached/cached and uncached/notmodified ns/op ratios (0 disables)")
+		maxFixed = flag.Float64("max-tiny-fixed-share", 0, "maximum BenchmarkTinyCell fixed_share — the share of a tiny cell's wall-clock spent outside Machine.RunContext (0 disables)")
 	)
 	flag.Parse()
 
@@ -82,7 +87,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results on stdin")
 		os.Exit(2)
 	}
-	failures := gate(os.Stdout, results, floors, *tol, *timeTol, *minRatio, *minWarm, *minMem, *minResp)
+	failures := gate(os.Stdout, results, floors, *tol, *timeTol, *minRatio, *minWarm, *minMem, *minResp, *maxFixed)
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) below floor\n", failures)
 		os.Exit(1)
@@ -94,7 +99,7 @@ func main() {
 type benchResult map[string]float64
 
 // units maps every gated metric to its baseline-file key and direction.
-// Rates are higher-is-better; ns/op is lower-is-better.
+// Rates are higher-is-better; ns/op and shares are lower-is-better.
 var units = map[string]struct {
 	key          string
 	higherBetter bool
@@ -103,6 +108,9 @@ var units = map[string]struct {
 	"cells/s": {"cells_s", true},
 	"MB/s":    {"mb_s", true},
 	"ns/op":   {"ns_op", false},
+	// A share of wall-clock (BenchmarkTinyCell's fixed_share), lower is
+	// better; -max-tiny-fixed-share is its real gate.
+	"fixed_share": {"fixed_share", false},
 }
 
 // parseBench extracts benchmark names and their gated metrics from `go
@@ -196,10 +204,19 @@ func latestFloors(data []byte, floors map[string]benchResult) error {
 	return nil
 }
 
+// num renders a metric for the verdict table: whole numbers for rates and
+// times, three decimals for the small ones (shares, single-digit rates).
+func num(v float64) string {
+	if v < 10 {
+		return fmt.Sprintf("%.3f", v)
+	}
+	return fmt.Sprintf("%.0f", v)
+}
+
 // gate prints a verdict table and returns the failure count. Benchmarks
 // with no recorded baseline pass (reported as such); the host-independent
 // ratio checks run when their flags are > 0.
-func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, minRatio, minWarm, minMem, minResp float64) int {
+func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, minRatio, minWarm, minMem, minResp, maxFixed float64) int {
 	failures := 0
 	names := make([]string, 0, len(results))
 	for name := range results {
@@ -215,26 +232,26 @@ func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, min
 		for unit, got := range results[name] {
 			base, ok := floors[name][unit]
 			if !ok {
-				fmt.Fprintf(w, "PASS  %s  %.0f %s (no recorded floor)\n", name, got, unit)
+				fmt.Fprintf(w, "PASS  %s  %s %s (no recorded floor)\n", name, num(got), unit)
 				continue
 			}
 			if units[unit].higherBetter {
 				floor := base * (1 - tol)
 				if got < floor {
 					failures++
-					fmt.Fprintf(w, "FAIL  %s  %.0f %s < floor %.0f (recorded %.0f, tolerance %.0f%%)\n",
-						name, got, unit, floor, base, tol*100)
+					fmt.Fprintf(w, "FAIL  %s  %s %s < floor %s (recorded %s, tolerance %.0f%%)\n",
+						name, num(got), unit, num(floor), num(base), tol*100)
 				} else {
-					fmt.Fprintf(w, "PASS  %s  %.0f %s (floor %.0f)\n", name, got, unit, floor)
+					fmt.Fprintf(w, "PASS  %s  %s %s (floor %s)\n", name, num(got), unit, num(floor))
 				}
 			} else {
 				ceiling := base * (1 + timeTol)
 				if got > ceiling {
 					failures++
-					fmt.Fprintf(w, "FAIL  %s  %.0f %s > ceiling %.0f (recorded %.0f, tolerance %.0fx)\n",
-						name, got, unit, ceiling, base, 1+timeTol)
+					fmt.Fprintf(w, "FAIL  %s  %s %s > ceiling %s (recorded %s, tolerance %.0fx)\n",
+						name, num(got), unit, num(ceiling), num(base), 1+timeTol)
 				} else {
-					fmt.Fprintf(w, "PASS  %s  %.0f %s (ceiling %.0f)\n", name, got, unit, ceiling)
+					fmt.Fprintf(w, "PASS  %s  %s %s (ceiling %s)\n", name, num(got), unit, num(ceiling))
 				}
 			}
 		}
@@ -267,6 +284,19 @@ func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, min
 			"BenchmarkServerWarmGet/uncached", "BenchmarkServerWarmGet/cached", minResp)
 		failures += speedup(w, results, "not-modified",
 			"BenchmarkServerWarmGet/uncached", "BenchmarkServerWarmGet/notmodified", minResp)
+	}
+	if maxFixed > 0 {
+		share, ok := results["BenchmarkTinyCell"]["fixed_share"]
+		switch {
+		case !ok:
+			failures++
+			fmt.Fprintf(w, "FAIL  tiny-cell fixed share: BenchmarkTinyCell missing from input\n")
+		case share > maxFixed:
+			failures++
+			fmt.Fprintf(w, "FAIL  tiny-cell fixed share %.3f > %.3f\n", share, maxFixed)
+		default:
+			fmt.Fprintf(w, "PASS  tiny-cell fixed share %.3f (<= %.3f)\n", share, maxFixed)
+		}
 	}
 	return failures
 }

@@ -287,6 +287,8 @@ func reportStats(engine *slicc.Engine, start time.Time, verbose bool) {
 		fmt.Fprintf(os.Stderr, "perf: %.3fs wall-clock, %d instructions simulated, %.2fM instr/s\n",
 			elapsed.Seconds(), stats.InstructionsSimulated,
 			float64(stats.InstructionsSimulated)/elapsed.Seconds()/1e6)
+		fmt.Fprintf(os.Stderr, "supply: %d op-stream generator passes, %d streams recorded, %d of %d machines on recycled storage\n",
+			stats.OpStreamGeneratorPasses, stats.OpStreamsRecorded, stats.MachinesRecycled, stats.SimsExecuted)
 		if stats.BatchesExecuted > 0 {
 			amort := float64(stats.BatchOpsServed) / float64(stats.BatchOpsDecoded+1)
 			fmt.Fprintf(os.Stderr, "batch: %d cells in %d lockstep batches, %d ops decoded once for %d served (%.1fx decode amortization)\n",

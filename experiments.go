@@ -171,6 +171,17 @@ type EngineStats struct {
 	// from them. Served/decoded is the decode amortization the batching
 	// bought — the scalar path decodes every served op per cell.
 	BatchOpsDecoded, BatchOpsServed uint64
+	// OpStreamGeneratorPasses counts thread op-stream generator runs
+	// started for simulations; OpStreamsRecorded the thread streams
+	// recorded in memory for later replays. A workload that the jobs of one
+	// submission share is generated exactly once per thread (passes ==
+	// threads x distinct workloads for a sweep of such workloads); a lone
+	// Run generates once and records nothing.
+	OpStreamGeneratorPasses, OpStreamsRecorded uint64
+	// MachinesRecycled counts executed simulations whose machine was built
+	// on cache storage recycled from an earlier one rather than freshly
+	// allocated.
+	MachinesRecycled int
 }
 
 // Engine runs experiments on a shared worker pool. Simulations are
@@ -361,6 +372,10 @@ func (e *Engine) Stats() EngineStats {
 		BatchesExecuted:       s.BatchesExecuted,
 		BatchOpsDecoded:       s.BatchOpsDecoded,
 		BatchOpsServed:        s.BatchOpsServed,
+
+		OpStreamGeneratorPasses: s.OpStreamGeneratorPasses,
+		OpStreamsRecorded:       s.OpStreamsRecorded,
+		MachinesRecycled:        s.MachinesRecycled,
 	}
 }
 

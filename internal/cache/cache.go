@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // Kind selects a replacement policy.
@@ -182,12 +183,14 @@ func (s *set) ways() int          { return len(s.tags) }
 // Cache is a set-associative cache model.
 type Cache struct {
 	cfg        Config
-	sets       []set
+	sets       []set    // store.sets
+	store      *storage // the backing store, recycled through Release
+	recycled   bool     // store served an earlier cache
 	numSets    int
 	setMask    uint64
 	blockShift uint
 	policy     policy
-	rng        *rand.Rand
+	rng        *rand.Rand // policy randomness, created on first draw
 	stats      Stats
 
 	// lastBlock tracks the most recently accessed block: consecutive
@@ -236,32 +239,108 @@ func New(cfg Config) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a power of two", numSets))
 	}
+	st := getStorage(numSets, cfg.Ways)
 	c := &Cache{
-		cfg:     cfg,
-		sets:    make([]set, numSets),
-		numSets: numSets,
-		setMask: uint64(numSets - 1),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		cfg:      cfg,
+		sets:     st.sets,
+		store:    st,
+		recycled: st.recycled,
+		numSets:  numSets,
+		setMask:  uint64(numSets - 1),
 	}
 	c.blockShift = log2(uint64(cfg.BlockBytes))
-	tags := make([]uint64, numSets*cfg.Ways)
-	meta := make([]uint8, numSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i].idx = i
-		c.sets[i].tags = tags[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		c.sets[i].meta = meta[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		// The LRU-family policies maintain meta as a recency permutation of
-		// 0..Ways-1; seed it so promote() rotations preserve the invariant.
-		for w := range c.sets[i].meta {
-			c.sets[i].meta[w] = uint8(w)
-		}
-	}
 	c.policy = newPolicy(c)
 	if cfg.Classify {
 		c.seen = newU64Set()
 		c.shadow = newFAShadow(lineCount)
 	}
 	return c
+}
+
+// storage is one cache's backing store: the set headers and the tag and
+// metadata arrays they slice. A default machine's L2 alone is 3.4MB of it,
+// allocated, zeroed and index-initialized for a simulation that may touch
+// a sliver, so released stores are recycled by geometry.
+type storage struct {
+	sets []set
+	meta []uint8 // all sets' metadata, contiguous
+	ways int
+	// recycled marks a store that has served an earlier cache.
+	recycled bool
+}
+
+// geometry keys the storage pools.
+type geometry struct{ sets, ways int }
+
+// storagePools maps geometry -> *sync.Pool of *storage.
+var storagePools sync.Map
+
+func poolFor(g geometry) *sync.Pool {
+	if p, ok := storagePools.Load(g); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := storagePools.LoadOrStore(g, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// getStorage returns an empty store of the given geometry — every way
+// invalid, every set's metadata the identity permutation — recycled when
+// the pool has one. A recycled store keeps its stale tags: nothing reads
+// the tag of an invalid way.
+func getStorage(numSets, ways int) *storage {
+	st, _ := poolFor(geometry{numSets, ways}).Get().(*storage)
+	if st == nil {
+		st = &storage{sets: make([]set, numSets), meta: make([]uint8, numSets*ways), ways: ways}
+		tags := make([]uint64, numSets*ways)
+		for i := range st.sets {
+			st.sets[i].idx = i
+			st.sets[i].tags = tags[i*ways : (i+1)*ways : (i+1)*ways]
+			st.sets[i].meta = st.meta[i*ways : (i+1)*ways : (i+1)*ways]
+		}
+	} else {
+		for i := range st.sets {
+			st.sets[i].valid = 0
+			st.sets[i].mru = 0
+		}
+	}
+	// The LRU-family policies maintain meta as a recency permutation of
+	// 0..Ways-1 per set; seed it (one set, then doubling block copies) so
+	// promote() rotations preserve the invariant.
+	meta := st.meta
+	for w := 0; w < ways; w++ {
+		meta[w] = uint8(w)
+	}
+	for n := ways; n < len(meta); n *= 2 {
+		copy(meta[n:], meta[:n])
+	}
+	return st
+}
+
+// Release returns the cache's backing store for reuse by a later New of
+// the same geometry. The cache must not be accessed, probed or flushed
+// afterwards (Stats and Config stay readable); a cache that is never
+// released is simply garbage collected.
+func (c *Cache) Release() {
+	st := c.store
+	if st == nil {
+		return
+	}
+	c.store, c.sets = nil, nil
+	st.recycled = true // for the next cache built on it
+	poolFor(geometry{len(st.sets), st.ways}).Put(st)
+}
+
+// Recycled reports whether New built the cache on a released store.
+func (c *Cache) Recycled() bool { return c.recycled }
+
+// draw returns the policy randomness source, seeding it from cfg.Seed on
+// first use: only the bimodal policies (BIP/BRRIP and the duels over them)
+// ever draw, and a seeded source is 4.9KB a cache.
+func (c *Cache) draw() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.cfg.Seed))
+	}
+	return c.rng
 }
 
 // log2 returns floor(log2(v)); callers pass power-of-two geometry values.

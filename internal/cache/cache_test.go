@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -499,5 +500,74 @@ func BenchmarkAccessDRRIP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(addrs[i&8191], false)
+	}
+}
+
+// TestRecycledStoreBehavesFresh replays one access trace through every
+// replacement kind twice: on a cache built before anything of its geometry
+// was released, and on a cache built on a store another kind dirtied and
+// released. Outcomes, victims and final contents must match access by
+// access — recycling must clear validity and restore the metadata New
+// hands out, whatever the previous owner's policy left there.
+func TestRecycledStoreBehavesFresh(t *testing.T) {
+	type outcome struct {
+		res    Result
+		blocks []uint64
+	}
+	replay := func(c *Cache) []outcome {
+		rng := rand.New(rand.NewSource(3))
+		out := make([]outcome, 0, 4000)
+		for i := 0; i < 4000; i++ {
+			addr := uint64(rng.Intn(600)) * 64
+			var o outcome
+			switch rng.Intn(10) {
+			case 0:
+				o.res.Evicted, o.res.EvictedValid = c.Fill(addr)
+			case 1:
+				o.res.Hit = c.Invalidate(addr)
+			default:
+				o.res = c.Access(addr, false)
+			}
+			if i%500 == 0 {
+				o.blocks = c.Blocks(nil)
+			}
+			out = append(out, o)
+		}
+		return out
+	}
+	// An odd geometry no other test shares, so "fresh" means fresh.
+	cfg := Config{SizeBytes: 3 * 2048, BlockBytes: 64, Ways: 3, DuelLeaderStride: 4}
+	for i, kind := range Kinds() {
+		cfg.Policy = kind
+		fresh := New(cfg)
+		if i == 0 && fresh.Recycled() {
+			t.Fatal("first cache of the geometry claims a recycled store")
+		}
+		want := replay(fresh)
+
+		var c *Cache
+		for try := 0; ; try++ {
+			dirtyCfg := cfg
+			dirtyCfg.Policy = Kinds()[(i+3)%len(Kinds())]
+			dirty := New(dirtyCfg)
+			replay(dirty)
+			dirty.Release()
+			dirty.Release() // idempotent
+			if c = New(cfg); c.Recycled() {
+				break
+			}
+			if try == 20 { // the race detector drops Puts at random
+				t.Fatalf("%v: released store never recycled", kind)
+			}
+		}
+		if n := c.ValidCount(); n != 0 {
+			t.Fatalf("%v: recycled cache starts with %d valid lines", kind, n)
+		}
+		got := replay(c)
+		for j := range want {
+			if got[j].res != want[j].res || !slices.Equal(got[j].blocks, want[j].blocks) {
+				t.Fatalf("%v: access %d on a recycled store = %+v, fresh = %+v", kind, j, got[j], want[j])
+			}
+		}
 	}
 }

@@ -105,7 +105,7 @@ func (p *stackPolicy) onFill(s *set, way int) {
 func (p *stackPolicy) onInsert(s *set, way int) {
 	mode := p.insertAt
 	if mode == insertBimodal {
-		if p.c.rng.Intn(1<<p.c.cfg.BIPEpsilonLog2) == 0 {
+		if p.c.draw().Intn(1<<p.c.cfg.BIPEpsilonLog2) == 0 {
 			mode = insertMRU
 		} else {
 			mode = insertLRU
@@ -157,7 +157,7 @@ func (p *rripPolicy) onFill(s *set, way int) {
 }
 
 func (p *rripPolicy) onInsert(s *set, way int) {
-	if p.bimodal && p.c.rng.Intn(1<<p.c.cfg.BIPEpsilonLog2) != 0 {
+	if p.bimodal && p.c.draw().Intn(1<<p.c.cfg.BIPEpsilonLog2) != 0 {
 		// BRRIP predicts a distant re-reference interval for most blocks,
 		// protecting the resident fraction of a thrashing footprint.
 		s.meta[way] = rrpvMax

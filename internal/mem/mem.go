@@ -135,6 +135,13 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 // L2Stats exposes the underlying L2 cache statistics.
 func (h *Hierarchy) L2Stats() cache.Stats { return h.l2.Stats() }
 
+// Release returns the L2's backing store for reuse (see cache.Release).
+// Only Config, Stats and L2Stats may be called afterwards.
+func (h *Hierarchy) Release() { h.l2.Release() }
+
+// Recycled reports whether the L2 was built on a released store.
+func (h *Hierarchy) Recycled() bool { return h.l2.Recycled() }
+
 // ResetStats zeroes counters, preserving contents.
 func (h *Hierarchy) ResetStats() {
 	h.stats = Stats{}

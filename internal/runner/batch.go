@@ -192,6 +192,7 @@ func (p *Pool) executeGang(ctx context.Context, jobs []Job, entries []*entry, ke
 		e.res = res
 		close(e.ready)
 	}
+	p.retire(machines...)
 	p.mu.Lock()
 	if p.persist != nil {
 		p.stats.StorePuts += len(jobs)

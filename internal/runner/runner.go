@@ -189,6 +189,18 @@ type Stats struct {
 	// every served op would have been decoded (or regenerated) per cell.
 	BatchOpsDecoded uint64
 	BatchOpsServed  uint64
+	// OpStreamGeneratorPasses counts thread op-stream generator runs the
+	// pool's synthetic workloads started for replays, and OpStreamsRecorded
+	// the thread streams they finished recording for later replays (see
+	// workload.ExpectReplays). A workload the submitted jobs share costs one
+	// pass per thread; one that only proves hot over separate submissions
+	// costs two; a lone job's costs one and records nothing.
+	OpStreamGeneratorPasses uint64
+	OpStreamsRecorded       uint64
+	// MachinesRecycled is how many executed simulations ran on cache
+	// storage released by an earlier one (sim.Machine.Release) instead of
+	// freshly allocated storage; the rest of JobsExecuted allocated theirs.
+	MachinesRecycled int
 }
 
 // Options configures a pool.
@@ -221,6 +233,12 @@ type Pool struct {
 	mu        sync.Mutex
 	memo      map[Job]*entry
 	workloads map[workload.Config]*wlEntry
+	// shared holds the synthetic workloads some submitted batch named in
+	// two or more distinct jobs (see noteShared).
+	shared map[workload.Config]bool
+	// retiredPasses/retiredRecorded carry the op-stream counters of
+	// workloads Close evicted, so Stats stays cumulative.
+	retiredPasses, retiredRecorded uint64
 	// digests caches trace-file content digests by path, revalidated
 	// against (size, mtime) so a re-recorded file is re-hashed.
 	digests map[string]digestEntry
@@ -272,6 +290,7 @@ func New(opts Options) *Pool {
 		sem:        make(chan struct{}, opts.Workers),
 		memo:       make(map[Job]*entry),
 		workloads:  make(map[workload.Config]*wlEntry),
+		shared:     make(map[workload.Config]bool),
 		digests:    make(map[string]digestEntry),
 		tracePaths: make(map[string]string),
 	}
@@ -281,7 +300,21 @@ func New(opts Options) *Pool {
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.stats
+	st := p.stats
+	st.OpStreamGeneratorPasses, st.OpStreamsRecorded = p.retiredPasses, p.retiredRecorded
+	for _, e := range p.workloads {
+		select {
+		case <-e.ready:
+		default:
+			continue // still under construction: nothing replayed yet
+		}
+		if e.w != nil {
+			passes, recorded := e.w.OpStreamStats()
+			st.OpStreamGeneratorPasses += passes
+			st.OpStreamsRecorded += recorded
+		}
+	}
+	return st
 }
 
 // Close releases resources the pool caches for its lifetime — today that
@@ -299,6 +332,7 @@ func (p *Pool) Close() error {
 		cached = append(cached, e)
 	}
 	p.workloads = make(map[workload.Config]*wlEntry)
+	p.shared = make(map[workload.Config]bool)
 	p.mu.Unlock()
 
 	var firstErr error
@@ -307,6 +341,11 @@ func (p *Pool) Close() error {
 		if e.w == nil {
 			continue
 		}
+		passes, recorded := e.w.OpStreamStats()
+		p.mu.Lock()
+		p.retiredPasses += passes
+		p.retiredRecorded += recorded
+		p.mu.Unlock()
 		if err := e.w.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -325,9 +364,52 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.noteShared(norm)
 	entries, dedupped, mineJobs, mine := p.claimAll(norm)
 	p.dispatch(ctx, mineJobs, mine)
 	return p.gather(ctx, norm, entries, dedupped)
+}
+
+// noteShared marks the synthetic workloads that two or more distinct jobs
+// of one submitted (normalized) batch name: their threads are about to be
+// replayed more than once, so Workload tells them to record each op stream
+// during its first replay rather than prove hot first (see
+// workload.ExpectReplays). The decision rests only on how much work the
+// submitted jobs share; a job submitted alone never marks anything, so
+// lone runs keep the generator's constant memory. Run and RunEachVia call
+// it; RunBatched does not, because its families replay each thread once,
+// into the shared decoded table.
+func (p *Pool) noteShared(norm []Job) {
+	if len(norm) < 2 {
+		return
+	}
+	// A workload has two distinct jobs iff some job naming it differs from
+	// the first that did: one small-keyed map and a struct compare per job,
+	// no hashing of whole Jobs.
+	const marked = -1
+	first := make(map[workload.Config]int, len(norm)) // -> index of its first job
+	var shared []workload.Config
+	for i := range norm {
+		wl := norm[i].Workload
+		if wl.TraceDigest != "" {
+			continue
+		}
+		switch k, ok := first[wl]; {
+		case !ok:
+			first[wl] = i
+		case k != marked && norm[k] != norm[i]:
+			first[wl] = marked
+			shared = append(shared, wl)
+		}
+	}
+	if len(shared) == 0 {
+		return
+	}
+	p.mu.Lock()
+	for _, wl := range shared {
+		p.shared[wl] = true
+	}
+	p.mu.Unlock()
 }
 
 // normalizeJobs normalizes a batch (including trace-digest resolution)
@@ -635,11 +717,16 @@ func (p *Pool) progress() {
 func (p *Pool) Workload(cfg workload.Config) (*workload.Workload, error) {
 	cfg = cfg.WithDefaults()
 	p.mu.Lock()
+	shared := p.shared[cfg]
 	e, ok := p.workloads[cfg]
 	if ok {
 		p.stats.WorkloadHits++
 		p.mu.Unlock()
 		<-e.ready
+		if shared && e.w != nil {
+			// Built before any batch shared it: still worth telling.
+			e.w.ExpectReplays()
+		}
 		return e.w, e.err
 	}
 	e = &wlEntry{ready: make(chan struct{})}
@@ -663,6 +750,9 @@ func (p *Pool) Workload(cfg workload.Config) (*workload.Workload, error) {
 		}
 	default:
 		e.w = workload.New(cfg)
+		if shared {
+			e.w.ExpectReplays()
+		}
 	}
 	if e.err != nil {
 		// Evict the failure so a later request (say, after the user fixes
@@ -718,12 +808,13 @@ func (p *Pool) exec(ctx context.Context, j Job) Result {
 	case KindBloomAccuracy:
 		return execBloom(ctx, j, w)
 	default:
-		return execSim(ctx, j, w)
+		return p.execSim(ctx, j, w)
 	}
 }
 
-// execSim builds and runs one machine.
-func execSim(ctx context.Context, j Job, w *workload.Workload) Result {
+// execSim builds and runs one machine, then hands its cache storage on to
+// the next.
+func (p *Pool) execSim(ctx context.Context, j Job, w *workload.Workload) Result {
 	policy, pref := buildPolicy(j.Policy, w)
 	m := sim.New(j.Machine, policy, pref, w.Threads())
 	_, sp := telemetry.StartSpan(ctx, "sim.run")
@@ -735,7 +826,23 @@ func execSim(ctx context.Context, j Job, w *workload.Workload) Result {
 		res.ReuseGlobal = m.Reuse().Global()
 		res.ReusePerType = m.Reuse().PerType()
 	}
+	p.retire(m)
 	return res
+}
+
+// retire releases finished machines' cache storage for reuse and counts
+// the ones that had themselves been built on recycled storage.
+func (p *Pool) retire(machines ...*sim.Machine) {
+	recycled := 0
+	for _, m := range machines {
+		if m.Recycled() {
+			recycled++
+		}
+		m.Release()
+	}
+	p.mu.Lock()
+	p.stats.MachinesRecycled += recycled
+	p.mu.Unlock()
 }
 
 // buildPolicy materializes a declarative policy spec against its workload.

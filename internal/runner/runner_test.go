@@ -203,3 +203,83 @@ func TestCancellationMidRun(t *testing.T) {
 		t.Fatal("run did not return after cancellation")
 	}
 }
+
+// opStreamJobs returns two distinct jobs over one tiny workload.
+func opStreamJobs(seed int64) (base, slicc Job) {
+	wl := workload.Config{Kind: workload.TPCC1, Threads: 4, Seed: seed, Scale: 0.05}
+	base = Job{Workload: wl}
+	slicc = Job{Workload: wl, Policy: PolicySpec{Kind: SLICC, SLICC: islicc.DefaultConfig(islicc.SW)}}
+	return base, slicc
+}
+
+// TestOpStreamLadderFollowsSubmission pins when a pool records op streams:
+// a job submitted alone replays the bare generator and records nothing
+// (constant memory for lone runs); two distinct jobs submitted together
+// over one workload cost one generator pass per thread; the same two jobs
+// submitted separately cost two, as a workload that merely proves hot
+// always has.
+func TestOpStreamLadderFollowsSubmission(t *testing.T) {
+	ctx := context.Background()
+	const threads = 4
+
+	lone := New(Options{Workers: 2})
+	base, slicc := opStreamJobs(1)
+	if _, err := lone.Run(ctx, []Job{base, base}); err != nil { // duplicates are one job
+		t.Fatal(err)
+	}
+	if s := lone.Stats(); s.OpStreamGeneratorPasses != threads || s.OpStreamsRecorded != 0 {
+		t.Fatalf("lone job: %d generator passes, %d streams recorded; want %d, 0",
+			s.OpStreamGeneratorPasses, s.OpStreamsRecorded, threads)
+	}
+	if _, err := lone.Run(ctx, []Job{slicc}); err != nil {
+		t.Fatal(err)
+	}
+	if s := lone.Stats(); s.OpStreamGeneratorPasses != 2*threads || s.OpStreamsRecorded != threads {
+		t.Fatalf("two separate submissions: %d generator passes, %d streams recorded; want %d, %d",
+			s.OpStreamGeneratorPasses, s.OpStreamsRecorded, 2*threads, threads)
+	}
+
+	for name, run := range map[string]func(*Pool, []Job) error{
+		"Run":     func(p *Pool, jobs []Job) error { _, err := p.Run(ctx, jobs); return err },
+		"RunEach": func(p *Pool, jobs []Job) error { _, err := p.RunEach(ctx, jobs, nil); return err },
+	} {
+		shared := New(Options{Workers: 2})
+		b1, s1 := opStreamJobs(1)
+		b2, s2 := opStreamJobs(2)
+		if err := run(shared, []Job{b1, s1, b2, s2, b1}); err != nil {
+			t.Fatal(err)
+		}
+		s := shared.Stats()
+		if s.OpStreamGeneratorPasses != 2*threads || s.OpStreamsRecorded != 2*threads {
+			t.Errorf("%s of two shared workloads: %d generator passes, %d streams recorded; want %d, %d",
+				name, s.OpStreamGeneratorPasses, s.OpStreamsRecorded, 2*threads, 2*threads)
+		}
+		// The counters outlive the workloads they were counted on.
+		if err := shared.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if after := shared.Stats(); after.OpStreamGeneratorPasses != s.OpStreamGeneratorPasses || after.OpStreamsRecorded != s.OpStreamsRecorded {
+			t.Errorf("%s: Close changed the op-stream counters: %+v -> %+v", name, s, after)
+		}
+	}
+}
+
+// TestMachinesRecycled: a pool hands each finished machine's cache storage
+// to a later one and counts it.
+func TestMachinesRecycled(t *testing.T) {
+	p := New(Options{Workers: 1})
+	// sync.Pool may drop a released store (the race detector makes it do
+	// so at random), so allow a few machines before the first reuse.
+	for seed := int64(1); p.Stats().MachinesRecycled == 0; seed++ {
+		if seed > 24 {
+			t.Fatal("24 sequential simulations and none ran on recycled storage")
+		}
+		job := Job{Workload: workload.Config{Kind: workload.MapReduce, Threads: 2, Seed: seed, Scale: 0.05}}
+		if _, err := p.Run(context.Background(), []Job{job}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := p.Stats(); s.MachinesRecycled > s.JobsExecuted {
+		t.Fatalf("%d machines recycled of %d executed", s.MachinesRecycled, s.JobsExecuted)
+	}
+}

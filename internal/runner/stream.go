@@ -48,6 +48,10 @@ func (p *Pool) RunEachVia(ctx context.Context, jobs []Job, remote Remote, onDone
 	if err != nil {
 		return nil, err
 	}
+	if remote == nil {
+		// Remote misses execute elsewhere; this pool builds no workloads.
+		p.noteShared(norm)
+	}
 	results := make([]Result, len(norm))
 	var (
 		mu       sync.Mutex

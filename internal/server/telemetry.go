@@ -111,6 +111,15 @@ func (s *Server) registerMetrics() {
 	engCounter("slicc_batch_ops_served_total",
 		"Instructions batched simulations executed from shared batch tables.",
 		func(e slicc.EngineStats) float64 { return float64(e.BatchOpsServed) })
+	engCounter("slicc_runner_op_stream_generator_passes_total",
+		"Thread op-stream generator runs started for simulations (one per thread of a workload its submission's jobs share).",
+		func(e slicc.EngineStats) float64 { return float64(e.OpStreamGeneratorPasses) })
+	engCounter("slicc_runner_op_streams_recorded_total",
+		"Thread op streams recorded in memory for later replays.",
+		func(e slicc.EngineStats) float64 { return float64(e.OpStreamsRecorded) })
+	engCounter("slicc_runner_machines_recycled_total",
+		"Executed simulations whose machine was built on recycled cache storage.",
+		func(e slicc.EngineStats) float64 { return float64(e.MachinesRecycled) })
 
 	if _, ok := eng.StoreStats(); ok {
 		reg.GaugeFunc("slicc_store_entries",

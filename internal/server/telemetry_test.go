@@ -110,6 +110,9 @@ func TestMetricsAfterSweep(t *testing.T) {
 		"slicc_sims_requested_total",
 		"slicc_sims_executed_total",
 		"slicc_instructions_simulated_total",
+		"slicc_runner_op_stream_generator_passes_total",
+		"slicc_runner_op_streams_recorded_total",
+		"slicc_runner_machines_recycled_total",
 		// store layer
 		"slicc_store_entries",
 		"slicc_store_puts_total",
@@ -122,6 +125,11 @@ func TestMetricsAfterSweep(t *testing.T) {
 	}
 	if first["slicc_sims_executed_total"] == 0 {
 		t.Error("slicc_sims_executed_total is zero after a sweep")
+	}
+	// Each workload's two cells were submitted together, so every thread
+	// stream was generated exactly once, recording as it went.
+	if passes, recorded := first["slicc_runner_op_stream_generator_passes_total"], first["slicc_runner_op_streams_recorded_total"]; passes == 0 || passes != recorded {
+		t.Errorf("op-stream generator passes = %v, streams recorded = %v; want equal and nonzero", passes, recorded)
 	}
 	if got := first["slicc_sweep_cells_completed_total"]; got != 4 {
 		t.Errorf("sweep cells completed = %v, want 4 (2x2 sweep)", got)

@@ -12,8 +12,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
+	"slicc/internal/cache"
 	"slicc/internal/prefetch"
 	"slicc/internal/sched"
 	"slicc/internal/sim"
@@ -53,54 +57,143 @@ func runBoth(t *testing.T, name string, cfg sim.Config, threads []trace.Thread, 
 	})
 }
 
-func TestEventHorizonMatchesReference(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential sweep is not short")
-	}
-	w := tinyWorkload(t)
-	threads := w.Threads()
+// matrixCase is one machine/policy configuration of the differential
+// matrix: every policy family and machine feature that touches the hot
+// path.
+type matrixCase struct {
+	name      string
+	cfg       sim.Config
+	newPolicy func() sim.Policy
+	newPref   func() sim.Prefetcher // nil: no prefetcher
+}
 
-	runBoth(t, "base", sim.Config{Cores: 8}, threads,
-		func() sim.Policy { return sched.NewBaseline() }, nil)
-
-	runBoth(t, "base-1core", sim.Config{Cores: 1}, threads,
-		func() sim.Policy { return sched.NewBaseline() }, nil)
-
-	runBoth(t, "steps-events", sim.Config{Cores: 4, LogEvents: true}, threads,
-		func() sim.Policy { return sched.NewSTEPS() }, nil)
-
-	runBoth(t, "slicc-events", sim.Config{Cores: 8, LogEvents: true}, threads,
-		func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.Oblivious)) }, nil)
-
-	runBoth(t, "slicc-sw-yield", sim.Config{Cores: 8, LogEvents: true}, threads,
-		func() sim.Policy {
-			cfg := islicc.DefaultConfig(islicc.SW)
-			cfg.YieldOnStay = true
-			return islicc.New(cfg)
-		}, nil)
-
-	runBoth(t, "slicc-exact", sim.Config{Cores: 4}, threads,
-		func() sim.Policy {
-			cfg := islicc.DefaultConfig(islicc.Oblivious)
-			cfg.ExactSearch = true
-			return islicc.New(cfg)
-		}, nil)
-
+func policyMatrix() []matrixCase {
+	baseline := func() sim.Policy { return sched.NewBaseline() }
 	// Fetch observers (prefetcher, TLB, classification, reuse tracking)
 	// disable the fast fetch/data paths; the two loops must still agree.
 	classify := sim.Config{Cores: 4, EnableTLB: true, TrackReuse: true}
 	classify.L1I.Classify = true
 	classify.L1D.Classify = true
-	runBoth(t, "observed-machine", classify, threads,
-		func() sim.Policy { return sched.NewBaseline() },
-		func() sim.Prefetcher { return prefetch.NewNextLine() })
+	return []matrixCase{
+		{"base", sim.Config{Cores: 8}, baseline, nil},
+		{"base-1core", sim.Config{Cores: 1}, baseline, nil},
+		{"steps-events", sim.Config{Cores: 4, LogEvents: true},
+			func() sim.Policy { return sched.NewSTEPS() }, nil},
+		{"slicc-events", sim.Config{Cores: 8, LogEvents: true},
+			func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.Oblivious)) }, nil},
+		{"slicc-sw-yield", sim.Config{Cores: 8, LogEvents: true},
+			func() sim.Policy {
+				cfg := islicc.DefaultConfig(islicc.SW)
+				cfg.YieldOnStay = true
+				return islicc.New(cfg)
+			}, nil},
+		{"slicc-exact", sim.Config{Cores: 4},
+			func() sim.Policy {
+				cfg := islicc.DefaultConfig(islicc.Oblivious)
+				cfg.ExactSearch = true
+				return islicc.New(cfg)
+			}, nil},
+		{"observed-machine", classify, baseline,
+			func() sim.Prefetcher { return prefetch.NewNextLine() }},
+		{"peer-transfer", sim.Config{Cores: 4, InstrPeerTransfer: true}, baseline, nil},
+		// The MaxInstructions abort must trigger at the same instruction.
+		{"aborted", sim.Config{Cores: 4, MaxInstructions: 5000}, baseline, nil},
+	}
+}
 
-	runBoth(t, "peer-transfer", sim.Config{Cores: 4, InstrPeerTransfer: true}, threads,
-		func() sim.Policy { return sched.NewBaseline() }, nil)
+func TestEventHorizonMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential sweep is not short")
+	}
+	threads := tinyWorkload(t).Threads()
+	for _, c := range policyMatrix() {
+		runBoth(t, c.name, c.cfg, threads, c.newPolicy, c.newPref)
+	}
+}
 
-	// The MaxInstructions abort must trigger at the same instruction.
-	runBoth(t, "aborted", sim.Config{Cores: 4, MaxInstructions: 5000}, threads,
-		func() sim.Policy { return sched.NewBaseline() }, nil)
+// TestRecycledStorageMatchesFresh runs every matrix configuration twice —
+// on freshly allocated cache storage, then on storage a machine with a
+// different scheduler, prefetcher and replacement family released (RRIP
+// leaves metadata that is no recency permutation, and every tag is stale)
+// — and requires deeply equal results. A machine of another geometry is
+// released alongside, which the geometry-keyed pools must never hand over.
+// Under `-tags slowsim` the same comparison runs on the reference loop.
+func TestRecycledStorageMatchesFresh(t *testing.T) {
+	threads := tinyWorkload(t).Threads()
+	build := func(c matrixCase) *sim.Machine {
+		var pref sim.Prefetcher
+		if c.newPref != nil {
+			pref = c.newPref()
+		}
+		return sim.New(c.cfg, c.newPolicy(), pref, threads)
+	}
+	dirty := func(cfg sim.Config) {
+		cfg.TrackReuse, cfg.LogEvents, cfg.MaxInstructions = false, false, 0
+		cfg.L1I.Policy, cfg.L1D.Policy = cache.BRRIP, cache.DRRIP
+		m := sim.New(cfg, islicc.New(islicc.DefaultConfig(islicc.SW)), prefetch.NewNextLine(), threads)
+		m.Run()
+		m.Release()
+		cfg.L1I.Ways, cfg.L1D.Ways, cfg.Mem.L2Ways = 4, 16, 8
+		m = sim.New(cfg, sched.NewBaseline(), nil, threads)
+		m.Run()
+		m.Release()
+	}
+	for _, c := range policyMatrix() {
+		t.Run(c.name, func(t *testing.T) {
+			// Two collections empty the storage pools (sync.Pool keeps
+			// one cycle's victims), so the baseline allocates afresh.
+			runtime.GC()
+			runtime.GC()
+			fresh := build(c)
+			if fresh.Recycled() {
+				t.Fatal("baseline machine was built on recycled storage")
+			}
+			want := fresh.Run()
+
+			var m *sim.Machine
+			for try := 0; ; try++ {
+				dirty(c.cfg)
+				if m = build(c); m.Recycled() {
+					break
+				}
+				// The race detector makes sync.Pool drop a quarter of its
+				// Puts at random; try again.
+				if try == 20 {
+					t.Fatal("released storage was never recycled")
+				}
+			}
+			got := m.Run()
+			m.Release()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("result on recycled storage diverges from fresh:\n got: %+v\nwant: %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestConcurrentNewRelease builds, runs and releases machines from several
+// goroutines at once (run under -race): recycling must neither share one
+// store between two live machines nor change any result.
+func TestConcurrentNewRelease(t *testing.T) {
+	threads := tinyWorkload(t).Threads()
+	cfg := sim.Config{Cores: 4}
+	want := sim.New(cfg, sched.NewBaseline(), nil, threads).Run()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				m := sim.New(cfg, sched.NewBaseline(), nil, threads)
+				got := m.Run()
+				m.Release()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent machine diverges:\n got: %+v\nwant: %+v", got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEventHorizonMatchesReferenceTrace replays a recorded v2 container so
@@ -153,5 +246,39 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if diff := long - short; diff > 100 {
 		t.Fatalf("steady-state loop allocates: %.0f extra allocs over 160k extra instructions (short %.0f, long %.0f)",
 			diff, short, long)
+	}
+}
+
+// TestNewReleaseAllocBytes guards machine-storage recycling: in steady
+// state a default-geometry New+Release pair allocates only the machine's
+// small per-run state (cache headers, directory, thread decode buffers) —
+// not the 3.8MB of L2 and L1 arrays a fresh machine needs.
+func TestNewReleaseAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop Puts at random")
+	}
+	w := workload.New(workload.Config{Kind: workload.TPCC1, Threads: 4, Seed: 5, Scale: 0.05})
+	threads := w.Threads()
+	cycle := func() {
+		m := sim.New(sim.Config{}, sched.NewBaseline(), nil, threads)
+		m.Release()
+	}
+	for i := 0; i < 3; i++ {
+		cycle() // warm the pools and the workload's op-stream ladder
+	}
+	// Median of per-cycle readings: a goroutine that changes Ps mid-test
+	// strands one store in the old P's private pool slot, and that one
+	// cycle allocates afresh.
+	per := make([]uint64, 21)
+	var before, after runtime.MemStats
+	for i := range per {
+		runtime.ReadMemStats(&before)
+		cycle()
+		runtime.ReadMemStats(&after)
+		per[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(per)
+	if med := per[len(per)/2]; med > 64<<10 {
+		t.Fatalf("steady-state New+Release allocates %d bytes per machine (median), want <= 64KB", med)
 	}
 }

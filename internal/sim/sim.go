@@ -350,6 +350,26 @@ func New(cfg Config, policy Policy, pref Prefetcher, threads []trace.Thread) *Ma
 	return m
 }
 
+// Release returns the machine's cache backing stores — the L2 and every
+// L1, megabytes that New would otherwise allocate, zero and index afresh —
+// for reuse by later machines of the same geometry. Call it once the run
+// is over and its Result is in hand: afterwards the machine must not run,
+// and its caches (L1I, L1D, Hierarchy) must not be accessed or probed; the
+// Result, Reuse tracker and statistics already read stay valid, since none
+// of them aliases cache storage. Releasing is optional — a machine that is
+// never released is garbage collected whole — and idempotent.
+func (m *Machine) Release() {
+	for c := range m.l1i {
+		m.l1i[c].Release()
+		m.l1d[c].Release()
+	}
+	m.hier.Release()
+}
+
+// Recycled reports whether the machine's L2, the bulk of its storage, was
+// built on a released store.
+func (m *Machine) Recycled() bool { return m.hier.Recycled() }
+
 // Accessors used by policies, prefetchers and experiments.
 
 // Cores returns the core count.

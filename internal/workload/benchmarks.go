@@ -61,7 +61,7 @@ func (w *Workload) profile() dataProfile {
 // buildTPCC synthesizes the five-transaction-type TPC-C wholesale-supplier
 // workload. Type weights follow the TPC-C mix; the three 4%-weight types are
 // the paper's ~12% stray threads.
-func buildTPCC(cfg Config) *Workload {
+func buildTPCC(kind Kind) codeImage {
 	a := newSegAlloc()
 	// Shared DB-engine/OS pool: B-tree, lock manager, log manager, buffer
 	// pool, catalog, allocator, syscall, utility (8 x 4KB = 32KB).
@@ -103,17 +103,17 @@ func buildTPCC(cfg Config) *Workload {
 	}
 
 	name := "TPC-C-1"
-	if cfg.Kind == TPCC10 {
+	if kind == TPCC10 {
 		name = "TPC-C-10"
 	}
-	return &Workload{Name: name, Kind: cfg.Kind, Config: cfg, Segments: a.segs, Types: types}
+	return codeImage{name: name, segments: a.segs, types: types}
 }
 
 // buildTPCE synthesizes the TPC-E brokerage workload: ten transaction
 // types with a more even mix (stray share ~3%) and somewhat smaller
 // footprints than TPC-C, but a larger shared pool (the paper notes TPC-E
 // spreads across 8-10 cores vs TPC-C's up to 14).
-func buildTPCE(cfg Config) *Workload {
+func buildTPCE() codeImage {
 	a := newSegAlloc()
 	common := a.allocN(10, segBlocks, true) // transaction frame + engine
 	// The brokerage library: a large shared pool the per-type loop bodies
@@ -163,13 +163,13 @@ func buildTPCE(cfg Config) *Workload {
 		mk("MarketFeed", 0.01, 9, 1, 2, 4),
 		mk("TradeUpdate", 0.02, 11, 1, 3, 5),
 	}
-	return &Workload{Name: "TPC-E", Kind: TPCE, Config: cfg, Segments: a.segs, Types: types}
+	return codeImage{name: "TPC-E", segments: a.segs, types: types}
 }
 
 // buildMapReduce synthesizes the CloudSuite text-analytics MapReduce
 // workload: 300 single-task threads whose instruction footprint fits in one
 // 32KB L1-I (the paper's robustness control), streaming a 12GB input.
-func buildMapReduce(cfg Config) *Workload {
+func buildMapReduce() codeImage {
 	a := newSegAlloc()
 	// Smaller segments: the whole per-task footprint (~12.5KB) must stay
 	// under fill-up_t (256 blocks) so SLICC never even arms migration.
@@ -208,5 +208,5 @@ func buildMapReduce(cfg Config) *Workload {
 			SharedFrac:  0.05,
 		},
 	}
-	return &Workload{Name: "MapReduce", Kind: MapReduce, Config: cfg, Segments: a.segs, Types: types}
+	return codeImage{name: "MapReduce", segments: a.segs, types: types}
 }

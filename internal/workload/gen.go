@@ -143,6 +143,16 @@ func buildVisits(w *Workload, ty *TxnType, rng *rand.Rand) []int {
 	return visits
 }
 
+// opBound returns an upper bound on the stream's op count: every visited
+// block executes its instructions once and repeats them at most once.
+func (s *threadSource) opBound() int64 {
+	blocks := 0
+	for _, seg := range s.visits {
+		blocks += s.w.Segments[seg].Blocks
+	}
+	return int64(blocks) * instrPerBlock * 2
+}
+
 // startBlock decides whether the block about to execute will run its repeat
 // pass (a short loop that re-executes the block's instructions).
 func (s *threadSource) startBlock() {

@@ -31,7 +31,7 @@ import (
 // *next* phase's pool with high probability (optional segments), so the
 // segment population of each cache keeps shifting under SLICC — the learned
 // bloom signatures dilute faster than in the steady A-B-C-A OLTP loop.
-func buildPhased(cfg Config) *Workload {
+func buildPhased() codeImage {
 	a := newSegAlloc()
 	// Shared runtime/OS pool (dispatch, allocator, syscall, logging).
 	common := a.allocN(6, segBlocks, true)
@@ -74,7 +74,7 @@ func buildPhased(cfg Config) *Workload {
 		}
 		types[p] = t
 	}
-	return &Workload{Name: "Phased", Kind: Phased, Config: cfg, Segments: a.segs, Types: types}
+	return codeImage{name: "Phased", segments: a.segs, types: types}
 }
 
 // skewedTenants is the number of tenant transaction types in the Skewed
@@ -90,7 +90,7 @@ const (
 // percent or two — stray threads SLICC's team scheduling must tolerate.
 // All tenants share the engine pool plus a hot-path library (the code that
 // serves the hot keys), so collectives still pay off on the shared half.
-func buildSkewed(cfg Config) *Workload {
+func buildSkewed() codeImage {
 	a := newSegAlloc()
 	common := a.allocN(8, segBlocks, true)  // DB engine: btree, lock, log, buffer...
 	hotLib := a.allocN(10, segBlocks, true) // hot-key path: point lookup + update
@@ -123,7 +123,7 @@ func buildSkewed(cfg Config) *Workload {
 		}
 		types[i] = t
 	}
-	return &Workload{Name: "Skewed", Kind: Skewed, Config: cfg, Segments: a.segs, Types: types}
+	return codeImage{name: "Skewed", segments: a.segs, types: types}
 }
 
 // msSegBlocks sizes Microservice code segments: 2KB, matching the small
@@ -141,7 +141,7 @@ const microserviceCount = 16
 // keeping every individual segment small. SLICC sees many small segments
 // with high cross-type sharing: the regime where migration must pay for
 // itself on breadth rather than on one large segment chain.
-func buildMicroservice(cfg Config) *Workload {
+func buildMicroservice() codeImage {
 	a := newSegAlloc()
 	// Shared runtime: RPC framing, serialization, connection pool, metrics,
 	// allocator, syscall (6 x 2KB).
@@ -183,5 +183,5 @@ func buildMicroservice(cfg Config) *Workload {
 			SharedFrac:  0.35, // session/connection state in the hot set
 		}
 	}
-	return &Workload{Name: "Microservice", Kind: Microservice, Config: cfg, Segments: a.segs, Types: types}
+	return codeImage{name: "Microservice", segments: a.segs, types: types}
 }

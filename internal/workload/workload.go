@@ -82,28 +82,27 @@ func ScenarioKinds() []Kind { return []Kind{Phased, Skewed, Microservice} }
 // the scenario extensions.
 func AllKinds() []Kind { return append(Kinds(), ScenarioKinds()...) }
 
-// kindTokens are the canonical machine-readable kind names used by the
+// kindTokenNames are the canonical machine-readable kind names used by the
 // CLIs, the sweep subsystem and the public slicc package (which keeps its
-// Benchmark tokens in lockstep).
-var kindTokens = map[string]Kind{
-	"tpcc1":        TPCC1,
-	"tpcc10":       TPCC10,
-	"tpce":         TPCE,
-	"mapreduce":    MapReduce,
-	"phased":       Phased,
-	"skewed":       Skewed,
-	"microservice": Microservice,
-}
+// Benchmark tokens in lockstep), indexed by Kind.
+var kindTokenNames = [...]string{"tpcc1", "tpcc10", "tpce", "mapreduce", "phased", "skewed", "microservice"}
+
+// kindTokens is the reverse of kindTokenNames, for ParseKind.
+var kindTokens = func() map[string]Kind {
+	m := make(map[string]Kind, len(kindTokenNames))
+	for k, tok := range kindTokenNames {
+		m[tok] = Kind(k)
+	}
+	return m
+}()
 
 // Token returns the kind's canonical machine-readable name (String returns
 // the display name).
 func (k Kind) Token() string {
-	for tok, v := range kindTokens {
-		if v == k {
-			return tok
-		}
+	if k < 0 || int(k) >= len(kindTokenNames) {
+		return fmt.Sprintf("kind(%d)", int(k))
 	}
-	return fmt.Sprintf("kind(%d)", int(k))
+	return kindTokenNames[k]
 }
 
 // ParseKind resolves a workload kind from its canonical token ("tpcc1",
@@ -264,22 +263,65 @@ func (t *TxnType) footprintBlocks(w *Workload) int {
 	return total
 }
 
-// Workload is a fully-specified benchmark instance.
-type Workload struct {
-	Name     string
-	Kind     Kind
-	Config   Config
-	Segments []Segment
-	Types    []TxnType
-
+// codeImage is a benchmark's *code*: its segments, the transaction types'
+// program shapes over them, and each segment's block execution order. It
+// is the binary, so it depends on the Kind alone — not on the seed, thread
+// count or scale, which only choose who runs what for how long — and is
+// built once per Kind per process and shared read-only by every Workload
+// of that kind.
+type codeImage struct {
+	name     string
+	segments []Segment
+	types    []TxnType
 	// orders holds, per segment, the block execution order: the segment's
 	// control-flow structure. Real code is not laid out in execution
 	// order — basic blocks end in taken branches — so a segment is
 	// executed as short sequential runs stitched together by jumps.
-	// The order is part of the *code*, identical for every thread, and
-	// independent of the workload seed (the binary doesn't change when
-	// the transaction mix does).
 	orders [][]uint16
+}
+
+// images caches each synthesizable kind's code image.
+var images [len(kindNames)]struct {
+	once sync.Once
+	img  codeImage
+}
+
+// imageFor returns kind's shared code image, building it on first use.
+func imageFor(kind Kind) *codeImage {
+	if kind < 0 || int(kind) >= len(images) {
+		panic(fmt.Sprintf("workload: unknown kind %v", kind))
+	}
+	e := &images[kind]
+	e.once.Do(func() {
+		switch kind {
+		case TPCC1, TPCC10:
+			e.img = buildTPCC(kind)
+		case TPCE:
+			e.img = buildTPCE()
+		case MapReduce:
+			e.img = buildMapReduce()
+		case Phased:
+			e.img = buildPhased()
+		case Skewed:
+			e.img = buildSkewed()
+		case Microservice:
+			e.img = buildMicroservice()
+		}
+		e.img.orders = computeOrders(e.img.segments)
+	})
+	return &e.img
+}
+
+// Workload is a fully-specified benchmark instance.
+type Workload struct {
+	Name   string
+	Kind   Kind
+	Config Config
+	// Segments, Types and orders are the kind's code image, shared with
+	// every other Workload of the kind: read-only.
+	Segments []Segment
+	Types    []TxnType
+	orders   [][]uint16
 
 	threads []trace.Thread
 
@@ -297,81 +339,122 @@ type Workload struct {
 	container *trace.File
 }
 
-// opCache memoizes synthetic threads' op streams once they prove hot. A
-// thread's first New() replay runs the generator directly — so single-pass
-// consumers (trace capture, a lone simulation) keep the generator's
-// constant memory — but the *second* New() of the same thread marks it as
-// repeatedly replayed: its stream is recorded once into a delta-encoded
-// buffer (trace.OpEncoder, ~3.5 bytes/op) and every later replay decodes
-// from memory through the trace.BatchSource bulk path. That is the
-// experiment-harness shape (one pool-cached workload feeding dozens of
-// simulations), where regenerating identical streams — two rand draws per
-// op — dominated the cold simulation loop; the compact encoding keeps a
-// whole quick-size workload within the last-level cache, so replays do not
-// evict the simulator's own model state. Replays are byte-identical by
-// construction: the recording is the generator's own output.
+// opCache memoizes synthetic threads' op streams. A stream is recorded
+// *while a replay consumes it* (trace.Tee: generator output is appended to
+// a delta-encoded buffer, ~3.5 bytes/op, as the machine pulls batches), so
+// recording never costs a generator pass of its own, and every later
+// replay — including one racing the recording — decodes from memory through
+// the trace.BatchSource bulk path. Which replay records depends on what is
+// known about the workload's future:
+//
+//   - By default the first New() of a thread runs the bare generator and
+//     the *second* records: a single-pass consumer (trace capture, a lone
+//     simulation) keeps the generator's constant memory and pays nothing,
+//     and a thread that proves hot costs two generator passes.
+//   - After ExpectReplays — the runner calls it when the jobs it was handed
+//     name the workload more than once — the *first* New() records, so the
+//     generator runs exactly once per thread.
+//
+// That is the experiment-harness shape (one pool-cached workload feeding
+// dozens of simulations), where regenerating identical streams — two rand
+// draws per op — dominated the cold simulation loop; the compact encoding
+// keeps a whole quick-size workload within the last-level cache, so replays
+// do not evict the simulator's own model state. Replays are byte-identical
+// by construction: the recording is the generator's own output.
 type opCache struct {
 	mu sync.Mutex
-	// budget is the remaining op count the cache may retain. Quick
-	// experiment workloads fit whole; oversized threads simply stay on
-	// the generator path. Concurrent recorders may transiently overshoot
-	// by one thread's stream each.
+	// budget is the remaining op count the cache may retain. A recording
+	// reserves its stream's upper bound up front and returns the slack when
+	// it completes, so the budget is never overshot. Quick experiment
+	// workloads fit whole; a thread that does not fit stays on the
+	// generator path for good.
 	budget int64
-	// state is the per-thread ladder: 0 = never replayed, 1 = replayed
-	// once (record on next replay), 2 = recording in flight or rejected.
+	// expectReplays makes first replays record (see ExpectReplays).
+	expectReplays bool
+	// state is the per-thread ladder; rec[id], once set, supersedes it
+	// with the thread's recording (in flight or complete).
 	state []uint8
-	enc   []*trace.OpEncoder
+	rec   []*trace.Tee
+
+	// passes counts generator runs started for replays; recorded counts
+	// completed recordings (see OpStreamStats).
+	passes, recorded uint64
 }
+
+// Per-thread ladder states, for threads without a recording.
+const (
+	ocFresh    uint8 = iota // never replayed
+	ocReplayed              // replayed from the bare generator: record next time
+	ocRejected              // over budget: on the generator path for good
+)
 
 // opCacheBudget bounds the op streams one workload retains (2^26 ops ≈
 // 230MB encoded worst case). It is a var so tests can shrink it.
 var opCacheBudget = int64(1) << 26
 
-// sourceFor returns thread id's op stream: the memoized recording when one
-// exists, the deterministic generator otherwise (recording it on the way
-// through when this is a repeat replay and the budget allows).
+// encBytesPerOp sizes a recording's buffer from its op-count bound: a
+// sequential fetch encodes in 2 bytes, a data access adds 6, and under a
+// third of ops carry one.
+const encBytesPerOp = 4
+
+// ExpectReplays declares that the workload's threads will be replayed more
+// than once, so each stream is recorded during its first replay instead of
+// its second (see opCache). It is idempotent, safe for concurrent use, and
+// a no-op for recorded workloads; threads already past their first replay
+// are unaffected.
+func (w *Workload) ExpectReplays() {
+	w.oc.mu.Lock()
+	w.oc.expectReplays = true
+	w.oc.mu.Unlock()
+}
+
+// OpStreamStats reports how many generator passes the workload's replays
+// have started and how many thread streams it has finished recording.
+// Every thread replayed at least twice costs exactly one pass when
+// ExpectReplays came first, two otherwise.
+func (w *Workload) OpStreamStats() (generatorPasses, streamsRecorded uint64) {
+	w.oc.mu.Lock()
+	defer w.oc.mu.Unlock()
+	return w.oc.passes, w.oc.recorded
+}
+
+// sourceFor returns thread id's op stream: a reader of its recording when
+// one exists or is in flight, the deterministic generator otherwise —
+// starting a recording around it when this replay is the one that records
+// and the budget allows.
 func (w *Workload) sourceFor(id, ti int, seed int64) trace.Source {
 	oc := &w.oc
 	oc.mu.Lock()
-	if e := oc.enc[id]; e != nil {
+	if rec := oc.rec[id]; rec != nil {
 		oc.mu.Unlock()
-		return e.Source()
+		return rec.Source()
 	}
-	record := false
-	limit := oc.budget
-	switch oc.state[id] {
-	case 0:
-		oc.state[id] = 1
-	case 1:
-		oc.state[id] = 2
-		record = limit > 0
+	oc.passes++
+	state := oc.state[id]
+	if state == ocRejected || (state == ocFresh && !oc.expectReplays) {
+		oc.state[id] = max(state, ocReplayed)
+		oc.mu.Unlock()
+		return newThreadSource(w, id, ti, seed)
 	}
-	oc.mu.Unlock()
-
+	// The recording is set up under the lock: concurrent replays of this
+	// thread must find it rather than start generators of their own.
 	gen := newThreadSource(w, id, ti, seed)
-	if !record {
+	bound := gen.opBound()
+	if bound > oc.budget {
+		oc.state[id] = ocRejected
+		oc.mu.Unlock()
 		return gen
 	}
-	var enc trace.OpEncoder
-	for {
-		op, ok := gen.Next()
-		if !ok {
-			// Complete recording (exact budget fits count as complete).
-			oc.mu.Lock()
-			if oc.budget >= int64(enc.Ops()) {
-				oc.budget -= int64(enc.Ops())
-				oc.enc[id] = &enc
-			}
-			oc.mu.Unlock()
-			return enc.Source()
-		}
-		if int64(enc.Ops()) >= limit {
-			// The stream does not fit in the remaining budget: drop the
-			// prefix and leave the thread on the generator path for good.
-			return newThreadSource(w, id, ti, seed)
-		}
-		enc.Append(op)
-	}
+	oc.budget -= bound
+	rec := trace.NewTee(gen, int(bound)*encBytesPerOp, func(ops uint64) {
+		oc.mu.Lock()
+		oc.budget += bound - int64(ops)
+		oc.recorded++
+		oc.mu.Unlock()
+	})
+	oc.rec[id] = rec
+	oc.mu.Unlock()
+	return rec.Source()
 }
 
 // New synthesizes a workload. Trace-backed configs (TracePath set) have no
@@ -381,24 +464,11 @@ func New(cfg Config) *Workload {
 		panic("workload: New called with a trace config; use FromTraceFile")
 	}
 	cfg = cfg.withDefaults()
-	var w *Workload
-	switch cfg.Kind {
-	case TPCC1, TPCC10:
-		w = buildTPCC(cfg)
-	case TPCE:
-		w = buildTPCE(cfg)
-	case MapReduce:
-		w = buildMapReduce(cfg)
-	case Phased:
-		w = buildPhased(cfg)
-	case Skewed:
-		w = buildSkewed(cfg)
-	case Microservice:
-		w = buildMicroservice(cfg)
-	default:
-		panic(fmt.Sprintf("workload: unknown kind %v", cfg.Kind))
+	img := imageFor(cfg.Kind)
+	w := &Workload{
+		Name: img.name, Kind: cfg.Kind, Config: cfg,
+		Segments: img.segments, Types: img.types, orders: img.orders,
 	}
-	w.computeOrders()
 	w.assignThreads()
 	return w
 }
@@ -407,10 +477,10 @@ func New(cfg Config) *Workload {
 // fall-through runs with geometric length (mean ~1.4 blocks, so a next-line
 // prefetcher covers only the paper's modest fraction of fetches), shuffled
 // by a per-segment deterministic source.
-func (w *Workload) computeOrders() {
+func computeOrders(segments []Segment) [][]uint16 {
 	const fallThrough = 0.15 // probability the next block is spatially next
-	w.orders = make([][]uint16, len(w.Segments))
-	for i, seg := range w.Segments {
+	orders := make([][]uint16, len(segments))
+	for i, seg := range segments {
 		rng := rand.New(rand.NewSource(0xC0DE + int64(seg.ID)*7919))
 		// Split [0..Blocks) into sequential runs.
 		var runs [][]uint16
@@ -430,8 +500,9 @@ func (w *Workload) computeOrders() {
 		for _, r := range runs {
 			order = append(order, r...)
 		}
-		w.orders[i] = order
+		orders[i] = order
 	}
+	return orders
 }
 
 // Threads returns the workload's thread (transaction) list in arrival order.
@@ -494,7 +565,7 @@ func (w *Workload) assignThreads() {
 	}
 	w.oc.budget = opCacheBudget
 	w.oc.state = make([]uint8, len(w.threads))
-	w.oc.enc = make([]*trace.OpEncoder, len(w.threads))
+	w.oc.rec = make([]*trace.Tee, len(w.threads))
 }
 
 // threadSeed decorrelates per-thread streams (splitmix64-style).

@@ -168,3 +168,44 @@ func TestEngineSweepStoreWarmed(t *testing.T) {
 		t.Fatal("store-warmed sweep result differs from cold run")
 	}
 }
+
+// TestStreamedSweepGeneratesEachStreamOnce pins the op-stream accounting
+// end to end: a streamed sweep whose cells pair up on their workloads (the
+// benchmark's tiny-spec shape) runs each thread's generator exactly once —
+// passes == threads x distinct workloads — while a simulation submitted
+// alone generates once and records nothing.
+func TestStreamedSweepGeneratesEachStreamOnce(t *testing.T) {
+	eng, err := NewEngine(EngineOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	spec := SweepSpec{
+		Workloads: []string{"tpcc1", "skewed"},
+		Policies:  []string{"base", "slicc-sw"},
+		Threads:   SweepInts(4),
+		Scales:    SweepFloats(0.05),
+		Seeds:     SweepInts(11, 12, 13),
+	}
+	if _, err := eng.SweepStream(context.Background(), spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	const threads, workloads = 4, 2 * 3
+	s := eng.Stats()
+	if s.SimsExecuted != 2*workloads || s.OpStreamGeneratorPasses != threads*workloads || s.OpStreamsRecorded != threads*workloads {
+		t.Fatalf("sweep of %d workloads x 2 policies: %d executed, %d generator passes, %d streams recorded; want %d, %d, %d",
+			workloads, s.SimsExecuted, s.OpStreamGeneratorPasses, s.OpStreamsRecorded, 2*workloads, threads*workloads, threads*workloads)
+	}
+
+	lone, err := NewEngine(EngineOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lone.Close()
+	if _, err := lone.Run(context.Background(), Config{Benchmark: TPCC1, Policy: SLICCSW, Threads: threads, Seed: 11, Scale: 0.05}); err != nil {
+		t.Fatal(err)
+	}
+	if s := lone.Stats(); s.OpStreamGeneratorPasses != threads || s.OpStreamsRecorded != 0 {
+		t.Fatalf("lone run: %d generator passes, %d streams recorded; want %d, 0", s.OpStreamGeneratorPasses, s.OpStreamsRecorded, threads)
+	}
+}
