@@ -35,6 +35,11 @@
 // of two series: runner.BenchmarkTinyCell reports the share of a tiny
 // cell's wall-clock spent outside the simulation loop (workload and machine
 // construction, result handling), and the gate fails when it exceeds N.
+// -min-run-share is its floor twin: sim.BenchmarkMachineRun/base reports the
+// share of instructions the loop retired in quiet runs instead of stepping
+// one by one — an exact count, the same on every host — and the gate fails
+// when it falls below N (the run path silently off, or the line micro-cache
+// excluding machines again).
 //
 // -baseline takes a comma-separated list of trajectory files. Baseline
 // names may carry a "pkg." prefix (e.g. "store.BenchmarkPut" for
@@ -63,6 +68,7 @@ func main() {
 		minMem   = flag.Float64("min-mem-speedup", 0, "minimum BenchmarkGetHit/BenchmarkGetHitMem ns/op ratio — disk vs memory-tier store hit (0 disables)")
 		minResp  = flag.Float64("min-respcache-speedup", 0, "minimum BenchmarkServerWarmGet uncached/cached and uncached/notmodified ns/op ratios (0 disables)")
 		maxFixed = flag.Float64("max-tiny-fixed-share", 0, "maximum BenchmarkTinyCell fixed_share — the share of a tiny cell's wall-clock spent outside Machine.RunContext (0 disables)")
+		minRuns  = flag.Float64("min-run-share", 0, "minimum BenchmarkMachineRun/base run_share — the share of instructions retired in quiet runs (0 disables)")
 	)
 	flag.Parse()
 
@@ -87,7 +93,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results on stdin")
 		os.Exit(2)
 	}
-	failures := gate(os.Stdout, results, floors, *tol, *timeTol, *minRatio, *minWarm, *minMem, *minResp, *maxFixed)
+	failures := gate(os.Stdout, results, floors, *tol, *timeTol, *minRatio, *minWarm, *minMem, *minResp, *maxFixed, *minRuns)
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) below floor\n", failures)
 		os.Exit(1)
@@ -111,6 +117,9 @@ var units = map[string]struct {
 	// A share of wall-clock (BenchmarkTinyCell's fixed_share), lower is
 	// better; -max-tiny-fixed-share is its real gate.
 	"fixed_share": {"fixed_share", false},
+	// A share of instructions (BenchmarkMachineRun's run_share), higher is
+	// better; -min-run-share is its real gate.
+	"run_share": {"run_share", true},
 }
 
 // parseBench extracts benchmark names and their gated metrics from `go
@@ -216,7 +225,7 @@ func num(v float64) string {
 // gate prints a verdict table and returns the failure count. Benchmarks
 // with no recorded baseline pass (reported as such); the host-independent
 // ratio checks run when their flags are > 0.
-func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, minRatio, minWarm, minMem, minResp, maxFixed float64) int {
+func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, minRatio, minWarm, minMem, minResp, maxFixed, minRunShare float64) int {
 	failures := 0
 	names := make([]string, 0, len(results))
 	for name := range results {
@@ -296,6 +305,19 @@ func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, min
 			fmt.Fprintf(w, "FAIL  tiny-cell fixed share %.3f > %.3f\n", share, maxFixed)
 		default:
 			fmt.Fprintf(w, "PASS  tiny-cell fixed share %.3f (<= %.3f)\n", share, maxFixed)
+		}
+	}
+	if minRunShare > 0 {
+		share, ok := results["BenchmarkMachineRun/base"]["run_share"]
+		switch {
+		case !ok:
+			failures++
+			fmt.Fprintf(w, "FAIL  quiet-run share: BenchmarkMachineRun/base missing from input\n")
+		case share < minRunShare:
+			failures++
+			fmt.Fprintf(w, "FAIL  quiet-run share %.3f < %.3f\n", share, minRunShare)
+		default:
+			fmt.Fprintf(w, "PASS  quiet-run share %.3f (>= %.3f)\n", share, minRunShare)
 		}
 	}
 	return failures

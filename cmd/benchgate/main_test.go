@@ -145,14 +145,14 @@ func TestGate(t *testing.T) {
 	floors := loadFloors(t, sampleBaseline)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0); n != 0 {
 		t.Fatalf("clean run failed %d gate(s):\n%s", n, out.String())
 	}
 
 	// A collapsed rate must fail: drop base to half its floor-with-tolerance.
 	results["BenchmarkMachineRun/base"]["instr/s"] = 15421476 * 0.3
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("regressed run reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -161,7 +161,7 @@ func TestGate(t *testing.T) {
 	results["BenchmarkMachineRun/base"]["instr/s"] = 15421476
 	results["BenchmarkMachineRun/base"]["ns/op"] = 221508045 * 6
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("slow run reported %d failures, want 1:\n%s", n, out.String())
 	}
 	results["BenchmarkMachineRun/base"]["ns/op"] = 221508045
@@ -170,7 +170,7 @@ func TestGate(t *testing.T) {
 	// even when its absolute floor (with tolerance) still passes.
 	results["BenchmarkSweepBatch/batched"]["cells/s"] = 5.637 * 0.70
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("batch-ratio regression reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -178,7 +178,7 @@ func TestGate(t *testing.T) {
 	delete(floors, "BenchmarkSweepBatch/batched")
 	results["BenchmarkSweepBatch/batched"]["cells/s"] = 5.998
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0); n != 0 {
 		t.Fatalf("unknown benchmark failed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "no recorded floor") {
@@ -191,7 +191,7 @@ func TestGateWarmSpeedup(t *testing.T) {
 	floors := loadFloors(t, sampleStoreBaseline)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 20, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 20, 0, 0, 0, 0); n != 0 {
 		t.Fatalf("clean store run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "warm-store speedup") {
@@ -203,14 +203,14 @@ func TestGateWarmSpeedup(t *testing.T) {
 	// with their generous host tolerance, could still pass.
 	results["BenchmarkStoreWarmRun"]["ns/op"] = results["BenchmarkStoreColdRun"]["ns/op"] / 10
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("degraded warm run reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing series is a failure, not a silent pass.
 	delete(results, "BenchmarkStoreWarmRun")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("missing warm series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
@@ -221,7 +221,7 @@ func TestGateMemSpeedup(t *testing.T) {
 
 	// Sample: disk hit 8921 ns vs mem hit 121 ns, ~74x — passes >= 5x.
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 5, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 5, 0, 0, 0); n != 0 {
 		t.Fatalf("clean mem-tier run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "mem-tier hit speedup") {
@@ -232,14 +232,14 @@ func TestGateMemSpeedup(t *testing.T) {
 	// even though its absolute time would pass any host tolerance.
 	results["BenchmarkGetHitMem"]["ns/op"] = results["BenchmarkGetHit"]["ns/op"] * 0.5
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0, 0); n != 1 {
 		t.Fatalf("degraded mem tier reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing series fails loudly.
 	delete(results, "BenchmarkGetHitMem")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0, 0); n != 1 {
 		t.Fatalf("missing mem series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
@@ -250,7 +250,7 @@ func TestGateRespCacheSpeedup(t *testing.T) {
 
 	// Sample: uncached 14832 ns vs cached 2716 / 304 2231 — both >= 5x.
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 5, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 5, 0, 0); n != 0 {
 		t.Fatalf("clean response-cache run failed %d gate(s):\n%s", n, out.String())
 	}
 	for _, want := range []string{"response-cache speedup", "not-modified speedup"} {
@@ -263,14 +263,14 @@ func TestGateRespCacheSpeedup(t *testing.T) {
 	results["BenchmarkServerWarmGet/notmodified"]["ns/op"] =
 		results["BenchmarkServerWarmGet/uncached"]["ns/op"] * 0.5
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0, 0); n != 1 {
 		t.Fatalf("degraded 304 path reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing sub-benchmarks fail both ratio checks loudly.
 	delete(results, "BenchmarkServerWarmGet/uncached")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0); n != 2 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0, 0); n != 2 {
 		t.Fatalf("missing uncached series reported %d failures, want 2:\n%s", n, out.String())
 	}
 }
@@ -292,7 +292,7 @@ PASS
 	floors := loadFloors(t, `{"points":[{"benchmarks":{"BenchmarkTinyCell":{"cells_s":90,"fixed_share":0.22}}}]}`)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.35); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.35, 0); n != 0 {
 		t.Fatalf("clean tiny-cell run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "tiny-cell fixed share 0.221") {
@@ -301,7 +301,7 @@ PASS
 
 	// Fixed costs creeping back past the ceiling fail, whatever the host.
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.2); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.2, 0); n != 1 {
 		t.Fatalf("share above the ceiling reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -309,7 +309,42 @@ PASS
 	delete(results, "BenchmarkTinyCell")
 	results["BenchmarkOther"] = benchResult{"ns/op": 1}
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.35); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.35, 0); n != 1 {
 		t.Fatalf("missing tiny-cell series reported %d failures, want 1:\n%s", n, out.String())
+	}
+}
+
+func TestGateRunShare(t *testing.T) {
+	const bench = `pkg: slicc/internal/sim
+BenchmarkMachineRun/base-2    	       3	 176322651 ns/op	  19371850 instr/s	         0.6719 run_share
+BenchmarkMachineRun/slicc-2   	       3	 195327767 ns/op	  17486997 instr/s	         0.6719 run_share
+PASS
+`
+	results, err := parseBench(strings.NewReader(bench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	floors := loadFloors(t, `{"points":[{"benchmarks":{"BenchmarkMachineRun/base":{"instr_s":19000000,"run_share":0.6719}}}]}`)
+
+	var out strings.Builder
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.65); n != 0 {
+		t.Fatalf("clean run failed %d gate(s):\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "quiet-run share 0.672") {
+		t.Fatalf("missing run-share verdict:\n%s", out.String())
+	}
+
+	// The count is exact, so the floor may sit close under it: a loop that
+	// retires fewer instructions in runs fails on any host.
+	out.Reset()
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.7); n != 1 {
+		t.Fatalf("share below the floor reported %d failures, want 1:\n%s", n, out.String())
+	}
+
+	// A missing series fails loudly.
+	delete(results, "BenchmarkMachineRun/base")
+	out.Reset()
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.65); n != 1 {
+		t.Fatalf("missing base series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }

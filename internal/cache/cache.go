@@ -414,6 +414,17 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	return res
 }
 
+// CountHits credits n demand accesses that hit, for a caller that knows the
+// outcome without consulting the model: repeat accesses to the block the
+// previous Access touched, with no Fill or invalidation of it since. Such
+// an access is the same-episode hit above — no replacement update, the
+// classification shadow's MRU block re-promoted in place — so the counters
+// are its whole effect, and Stats reads as if each had gone through Access.
+func (c *Cache) CountHits(n uint64) {
+	c.stats.Accesses += n
+	c.stats.Hits += n
+}
+
 // classify assigns the 3C class for a missing block and updates shadows.
 func (c *Cache) classify(block uint64) MissClass {
 	if c.seen == nil {

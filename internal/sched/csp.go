@@ -96,7 +96,10 @@ func (c *CSP) NextThread(core int) *sim.ThreadState {
 }
 
 // OnInstr implements sim.Policy: migrate to a service core when entering
-// system code, back home when leaving it.
+// system code, back home when leaving it. A thread in the wrong domain
+// moves at whichever instruction its MinStay runs out or a service queue
+// drains — any instruction, decided on other cores' queue depths — so CSP
+// implements no sim.QuietRunObserver and is stepped per instruction.
 func (c *CSP) OnInstr(core int, t *sim.ThreadState, f sim.Fetch) int {
 	if t.Instr-c.lastMove[t.ID] < c.MinStay {
 		return -1

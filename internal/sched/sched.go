@@ -5,7 +5,10 @@
 // concurrently and there is no migration.
 package sched
 
-import "slicc/internal/sim"
+import (
+	"slicc/internal/sim"
+	"slicc/internal/trace"
+)
 
 // Baseline is the no-migration, run-to-completion scheduler.
 type Baseline struct {
@@ -37,6 +40,10 @@ func (b *Baseline) NextThread(core int) *sim.ThreadState {
 
 // OnInstr implements sim.Policy; the baseline never migrates.
 func (b *Baseline) OnInstr(core int, t *sim.ThreadState, f sim.Fetch) int { return -1 }
+
+// OnQuietRun implements sim.QuietRunObserver: OnInstr does nothing at any
+// instruction, so nothing at a run of them.
+func (b *Baseline) OnQuietRun(core int, t *sim.ThreadState, ops []trace.Op) {}
 
 // OnThreadFinish implements sim.Policy.
 func (b *Baseline) OnThreadFinish(core int, t *sim.ThreadState) {}

@@ -1,6 +1,9 @@
 package sched
 
-import "slicc/internal/sim"
+import (
+	"slicc/internal/sim"
+	"slicc/internal/trace"
+)
 
 // STEPS is a software time-multiplexing baseline after Harizopoulos &
 // Ailamaki's STEPS system [9], which the paper names as SLICC's
@@ -136,6 +139,14 @@ func (s *STEPS) OnInstr(core int, t *sim.ThreadState, f sim.Fetch) int {
 	}
 	return -1
 }
+
+// OnQuietRun implements sim.QuietRunObserver. A quiet instruction cannot
+// miss, so OnInstr would leave misses alone; and it cannot yield, because
+// the instruction before the run did not: either the budget is unspent, or
+// nothing is waiting — and nothing starts to wait before this core's next
+// event (only the core itself queues threads here, and other cores only
+// ever steal from its pending list).
+func (s *STEPS) OnQuietRun(core int, t *sim.ThreadState, ops []trace.Op) {}
 
 // waiting reports whether the core has another runnable thread.
 func (s *STEPS) waiting(core int) bool {

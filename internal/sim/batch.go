@@ -26,7 +26,8 @@ import "context"
 const DefaultBatchQuantum = 1 << 20
 
 // RunBatch executes the machines to completion in lockstep: round-robin
-// quanta of `quantum` instructions each (0 selects DefaultBatchQuantum).
+// quanta of `quantum` instructions each (0 selects DefaultBatchQuantum),
+// each ending at the machine's first scheduler step at or past that count.
 // Machines must be freshly built over the same workload's threads and are
 // consumed by the call, exactly as Run consumes a machine. Results are
 // per-machine, in input order, and bit-identical to what each machine's
@@ -41,7 +42,7 @@ func RunBatch(ctx context.Context, machines []*Machine, quantum uint64) ([]Resul
 	}
 	done := make([]bool, len(machines))
 	for _, m := range machines {
-		m.startBatch()
+		m.start()
 	}
 	live := len(machines)
 	var err error
@@ -74,27 +75,12 @@ func RunBatch(ctx context.Context, machines []*Machine, quantum uint64) ([]Resul
 	return results, err
 }
 
-// startBatch prepares a machine for quantum-driven execution: the same
-// policy attach and initial fill RunContext performs before entering its
-// loop.
-func (m *Machine) startBatch() {
-	if m.referenceLoop {
-		// Match the reference-mode contract (RunContext): disable the line
-		// micro-caches so every access goes through the full model and
-		// differential runs check the fast paths rather than share them.
-		m.fastFetch, m.fastData = false, false
-	}
-	m.policy.Attach(m, m.threads)
-	m.enqueue, _ = m.policy.(enqueuer)
-	m.fillIdleCores()
-}
-
-// runQuantum advances the machine by up to n instructions and reports
-// whether the run has finished — all threads complete, or the
-// MaxInstructions abort tripped. It is the scalar scheduler itself with a
-// budget: the event-horizon loop for normal machines, the per-instruction
-// scan for reference-loop ones, so a batched machine executes the exact
-// instruction sequence its scalar twin would.
+// runQuantum advances the machine to the first scheduler step at or past
+// n instructions and reports whether the run has finished — all threads
+// complete, or the MaxInstructions abort tripped. It is the scalar
+// scheduler itself with a budget: the event-horizon loop for normal
+// machines, the per-instruction scan for reference-loop ones, so a batched
+// machine executes the exact instruction sequence its scalar twin would.
 func (m *Machine) runQuantum(n uint64) bool {
 	if m.referenceLoop {
 		return m.runQuantumReference(n)

@@ -2,7 +2,8 @@ package sim_test
 
 // Differential tests for lockstep batching: RunBatch must produce results
 // bit-identical to each machine's own scalar Run — across policy families,
-// machine features, mixed configurations inside one batch, quantum sizes,
+// machine features (the event-horizon differential matrix, policyMatrix),
+// mixed configurations inside one batch, quantum sizes,
 // and the workload's shared decoded-op table (BatchThreads) versus the
 // scalar per-machine sources.
 
@@ -11,36 +12,18 @@ import (
 	"reflect"
 	"testing"
 
-	"slicc/internal/prefetch"
 	"slicc/internal/sched"
 	"slicc/internal/sim"
 	islicc "slicc/internal/slicc"
-	"slicc/internal/trace"
 	"slicc/internal/workload"
 )
-
-// batchCell is one machine configuration of a differential batch.
-type batchCell struct {
-	name      string
-	cfg       sim.Config
-	newPolicy func() sim.Policy
-	newPref   func() sim.Prefetcher
-}
-
-func (c batchCell) machine(threads []trace.Thread) *sim.Machine {
-	var pref sim.Prefetcher
-	if c.newPref != nil {
-		pref = c.newPref()
-	}
-	return sim.New(c.cfg, c.newPolicy(), pref, threads)
-}
 
 // runBatchAgainstScalar runs every cell twice — once inside a single
 // RunBatch pass over the workload's shared decoded table, once alone on
 // the scalar path over the workload's own sources — and requires deeply
 // equal results per cell. The comparison therefore covers the lockstep
 // scheduler, the quantum boundaries, and BatchThreads' table in one shot.
-func runBatchAgainstScalar(t *testing.T, w *workload.Workload, quantum uint64, cells []batchCell) {
+func runBatchAgainstScalar(t *testing.T, w *workload.Workload, quantum uint64, cells []matrixCase) {
 	t.Helper()
 	batchThreads, _ := w.BatchThreads()
 	machines := make([]*sim.Machine, len(cells))
@@ -59,52 +42,14 @@ func runBatchAgainstScalar(t *testing.T, w *workload.Workload, quantum uint64, c
 	}
 }
 
-// matrixCells is the policy/feature matrix every batch variant is checked
-// against; it mirrors the event-horizon differential matrix.
-func matrixCells() []batchCell {
-	classify := sim.Config{Cores: 4, EnableTLB: true, TrackReuse: true}
-	classify.L1I.Classify = true
-	classify.L1D.Classify = true
-	return []batchCell{
-		{"base", sim.Config{Cores: 8},
-			func() sim.Policy { return sched.NewBaseline() }, nil},
-		{"base-1core", sim.Config{Cores: 1},
-			func() sim.Policy { return sched.NewBaseline() }, nil},
-		{"steps-events", sim.Config{Cores: 4, LogEvents: true},
-			func() sim.Policy { return sched.NewSTEPS() }, nil},
-		{"slicc-events", sim.Config{Cores: 8, LogEvents: true},
-			func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.Oblivious)) }, nil},
-		{"slicc-sw-yield", sim.Config{Cores: 8, LogEvents: true},
-			func() sim.Policy {
-				cfg := islicc.DefaultConfig(islicc.SW)
-				cfg.YieldOnStay = true
-				return islicc.New(cfg)
-			}, nil},
-		{"slicc-exact", sim.Config{Cores: 4},
-			func() sim.Policy {
-				cfg := islicc.DefaultConfig(islicc.Oblivious)
-				cfg.ExactSearch = true
-				return islicc.New(cfg)
-			}, nil},
-		{"observed-machine", classify,
-			func() sim.Policy { return sched.NewBaseline() },
-			func() sim.Prefetcher { return prefetch.NewNextLine() }},
-		{"peer-transfer", sim.Config{Cores: 4, InstrPeerTransfer: true},
-			func() sim.Policy { return sched.NewBaseline() }, nil},
-		// The MaxInstructions abort must trip at the same instruction while
-		// the rest of the batch runs to completion around it.
-		{"aborted", sim.Config{Cores: 4, MaxInstructions: 5000},
-			func() sim.Policy { return sched.NewBaseline() }, nil},
-	}
-}
-
 func TestBatchMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is not short")
 	}
 	// The whole matrix runs as ONE mixed batch: heterogeneous core counts,
 	// policies, observers and an aborting cell interleaved in one pass.
-	runBatchAgainstScalar(t, tinyWorkload(t), 0, matrixCells())
+	w := tinyWorkload(t)
+	runBatchAgainstScalar(t, w, 0, policyMatrix(w))
 }
 
 // TestBatchMatchesScalarScenarios repeats the check over the scenario
@@ -114,7 +59,7 @@ func TestBatchMatchesScalarScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential matrix is not short")
 	}
-	family := []batchCell{
+	family := []matrixCase{
 		{"base", sim.Config{Cores: 8},
 			func() sim.Policy { return sched.NewBaseline() }, nil},
 		{"slicc", sim.Config{Cores: 8},
@@ -140,7 +85,7 @@ func TestBatchQuantumInvariance(t *testing.T) {
 		t.Skip("differential matrix is not short")
 	}
 	w := tinyWorkload(t)
-	cells := []batchCell{
+	cells := []matrixCase{
 		{"base", sim.Config{Cores: 8},
 			func() sim.Policy { return sched.NewBaseline() }, nil},
 		{"slicc", sim.Config{Cores: 4},
@@ -156,7 +101,7 @@ func TestBatchQuantumInvariance(t *testing.T) {
 func TestBatchCancel(t *testing.T) {
 	w := tinyWorkload(t)
 	threads, _ := w.BatchThreads()
-	cells := []batchCell{
+	cells := []matrixCase{
 		{"a", sim.Config{Cores: 4}, func() sim.Policy { return sched.NewBaseline() }, nil},
 		{"b", sim.Config{Cores: 8}, func() sim.Policy { return sched.NewBaseline() }, nil},
 	}

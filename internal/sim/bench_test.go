@@ -6,7 +6,10 @@ package sim_test
 // iteration builds a fresh machine — machines are single-use — and runs a
 // small TPC-C workload to completion; instructions/sec is reported as the
 // headline metric so trajectory points in BENCH_SIM.json are comparable
-// across workload-size tweaks.
+// across workload-size tweaks. run_share is the loop's own exact count
+// beside it: the share of instructions retired in quiet runs rather than
+// stepped one by one (sim.LoopStats) — deterministic, so cmd/benchgate
+// holds it to a floor on any host (-min-run-share).
 //
 // Regenerate the BENCH_SIM.json point with:
 //
@@ -31,15 +34,15 @@ func benchWorkload(b *testing.B) *workload.Workload {
 }
 
 // runMachine builds and runs one machine, returning the executed
-// instruction count.
-func runMachine(b *testing.B, w *workload.Workload, policy sim.Policy) uint64 {
+// instruction count and how many of them quiet runs retired.
+func runMachine(b *testing.B, w *workload.Workload, policy sim.Policy) (instr, runInstr uint64) {
 	b.Helper()
 	m := sim.New(sim.Config{}, policy, nil, w.Threads())
 	r := m.Run()
 	if r.ThreadsFinished != len(w.Threads()) {
 		b.Fatalf("run finished %d of %d threads", r.ThreadsFinished, len(w.Threads()))
 	}
-	return r.Instructions
+	return r.Instructions, m.LoopStats().RunInstructions
 }
 
 func benchMachineRun(b *testing.B, newPolicy func() sim.Policy) {
@@ -51,15 +54,18 @@ func benchMachineRun(b *testing.B, newPolicy func() sim.Policy) {
 	for i := 0; i < 2; i++ {
 		runMachine(b, w, newPolicy())
 	}
-	var instr uint64
+	var instr, runInstr uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		instr += runMachine(b, w, newPolicy())
+		n, r := runMachine(b, w, newPolicy())
+		instr += n
+		runInstr += r
 	}
 	b.StopTimer()
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
 	}
+	b.ReportMetric(float64(runInstr)/float64(instr), "run_share")
 }
 
 // BenchmarkMachineRun measures cold-run throughput per policy: the baseline

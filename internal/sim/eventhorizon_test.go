@@ -9,6 +9,8 @@ package sim_test
 // NextBatch-vs-Next equivalence checks over real workloads.
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,31 +34,6 @@ func tinyWorkload(t *testing.T) *workload.Workload {
 	return workload.New(workload.Config{Kind: workload.TPCC1, Threads: 10, Seed: 3, Scale: 0.02})
 }
 
-// runBoth executes the same configuration under the batched and reference
-// schedulers and requires deeply equal results.
-func runBoth(t *testing.T, name string, cfg sim.Config, threads []trace.Thread, newPolicy func() sim.Policy, newPref func() sim.Prefetcher) {
-	t.Helper()
-	t.Run(name, func(t *testing.T) {
-		var pref sim.Prefetcher
-		if newPref != nil {
-			pref = newPref()
-		}
-		fast := sim.New(cfg, newPolicy(), pref, threads)
-		got := fast.Run()
-
-		if newPref != nil {
-			pref = newPref()
-		}
-		slow := sim.New(cfg, newPolicy(), pref, threads)
-		slow.UseReferenceLoop(true)
-		want := slow.Run()
-
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("batched result diverges from reference:\n got: %+v\nwant: %+v", got, want)
-		}
-	})
-}
-
 // matrixCase is one machine/policy configuration of the differential
 // matrix: every policy family and machine feature that touches the hot
 // path.
@@ -67,14 +44,75 @@ type matrixCase struct {
 	newPref   func() sim.Prefetcher // nil: no prefetcher
 }
 
-func policyMatrix() []matrixCase {
+// machine builds a fresh machine for the case.
+func (c matrixCase) machine(threads []trace.Thread) *sim.Machine {
+	var pref sim.Prefetcher
+	if c.newPref != nil {
+		pref = c.newPref()
+	}
+	return sim.New(c.cfg, c.newPolicy(), pref, threads)
+}
+
+// runBoth executes the case under the event-horizon and reference
+// schedulers and requires deeply equal results, equal per-core cache and
+// TLB statistics and equal reuse breakdowns. It returns the event-horizon
+// machine's loop counts.
+func runBoth(t *testing.T, c matrixCase, threads []trace.Thread) sim.LoopStats {
+	t.Helper()
+	fast := c.machine(threads)
+	got := fast.Run()
+
+	slow := c.machine(threads)
+	slow.UseReferenceLoop(true)
+	want := slow.Run()
+
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("event-horizon result diverges from reference:\n got: %+v\nwant: %+v", got, want)
+	}
+	for core := 0; core < fast.Cores(); core++ {
+		if g, w := fast.L1I(core).Stats(), slow.L1I(core).Stats(); g != w {
+			t.Errorf("core %d L1-I stats: got %+v, want %+v", core, g, w)
+		}
+		if g, w := fast.L1D(core).Stats(), slow.L1D(core).Stats(); g != w {
+			t.Errorf("core %d L1-D stats: got %+v, want %+v", core, g, w)
+		}
+		if fast.ITLB(core) == nil {
+			continue
+		}
+		if g, w := fast.ITLB(core).Stats(), slow.ITLB(core).Stats(); g != w {
+			t.Errorf("core %d I-TLB stats: got %+v, want %+v", core, g, w)
+		}
+		if g, w := fast.DTLB(core).Stats(), slow.DTLB(core).Stats(); g != w {
+			t.Errorf("core %d D-TLB stats: got %+v, want %+v", core, g, w)
+		}
+	}
+	if fr, sr := fast.Reuse(), slow.Reuse(); fr != nil {
+		if g, w := fr.Global(), sr.Global(); g != w {
+			t.Errorf("global reuse: got %+v, want %+v", g, w)
+		}
+		if g, w := fr.PerType(), sr.PerType(); g != w {
+			t.Errorf("per-type reuse: got %+v, want %+v", g, w)
+		}
+	}
+	ls := fast.LoopStats()
+	if ls.Events+ls.RunInstructions != got.Instructions {
+		t.Errorf("loop stats %+v do not add up to %d instructions", ls, got.Instructions)
+	}
+	if ref := slow.LoopStats(); ref.RunInstructions != 0 {
+		t.Errorf("reference loop retired %d instructions in runs", ref.RunInstructions)
+	}
+	return ls
+}
+
+func policyMatrix(w *workload.Workload) []matrixCase {
 	baseline := func() sim.Policy { return sched.NewBaseline() }
-	// Fetch observers (prefetcher, TLB, classification, reuse tracking)
-	// disable the fast fetch/data paths; the two loops must still agree.
-	classify := sim.Config{Cores: 4, EnableTLB: true, TrackReuse: true}
+	sliccSW := func() sim.Policy { return islicc.New(islicc.DefaultConfig(islicc.SW)) }
+	classify := sim.Config{Cores: 4}
 	classify.L1I.Classify = true
 	classify.L1D.Classify = true
-	return []matrixCase{
+	observed := classify
+	observed.EnableTLB, observed.TrackReuse = true, true
+	cases := []matrixCase{
 		{"base", sim.Config{Cores: 8}, baseline, nil},
 		{"base-1core", sim.Config{Cores: 1}, baseline, nil},
 		{"steps-events", sim.Config{Cores: 4, LogEvents: true},
@@ -93,21 +131,190 @@ func policyMatrix() []matrixCase {
 				cfg.ExactSearch = true
 				return islicc.New(cfg)
 			}, nil},
-		{"observed-machine", classify, baseline,
+		// CSP has no quiet-run hook (it may move a thread at any
+		// instruction): the machine must step it one instruction at a time.
+		{"csp", sim.Config{Cores: 8, LogEvents: true},
+			func() sim.Policy {
+				var ranges []sched.BlockRange
+				for _, r := range w.SharedRanges() {
+					ranges = append(ranges, sched.BlockRange{Lo: r[0], Hi: r[1]})
+				}
+				return sched.NewCSP(ranges)
+			}, nil},
+		{"observed-machine", observed, baseline,
 			func() sim.Prefetcher { return prefetch.NewNextLine() }},
 		{"peer-transfer", sim.Config{Cores: 4, InstrPeerTransfer: true}, baseline, nil},
 		// The MaxInstructions abort must trigger at the same instruction.
 		{"aborted", sim.Config{Cores: 4, MaxInstructions: 5000}, baseline, nil},
+		{"aborted-slicc", sim.Config{Cores: 4, MaxInstructions: 5000}, sliccSW, nil},
 	}
+	// Each observer of the fetch and data paths alone, so none can hide
+	// behind another: all of them ride the line micro-cache and quiet
+	// runs, under a policy that never moves a thread and one that does.
+	observers := []struct {
+		name    string
+		cfg     sim.Config
+		newPref func() sim.Prefetcher
+	}{
+		{"classify", classify, nil},
+		{"tlb", sim.Config{Cores: 4, EnableTLB: true}, nil},
+		{"reuse", sim.Config{Cores: 4, TrackReuse: true}, nil},
+		{"next-line", sim.Config{Cores: 4}, func() sim.Prefetcher { return prefetch.NewNextLine() }},
+		{"stream", sim.Config{Cores: 4}, func() sim.Prefetcher { return prefetch.NewStream() }},
+	}
+	for _, o := range observers {
+		cases = append(cases,
+			matrixCase{o.name + "-base", o.cfg, baseline, o.newPref},
+			matrixCase{o.name + "-slicc-sw", o.cfg, sliccSW, o.newPref})
+	}
+	return cases
 }
 
 func TestEventHorizonMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential sweep is not short")
 	}
-	threads := tinyWorkload(t).Threads()
-	for _, c := range policyMatrix() {
-		runBoth(t, c.name, c.cfg, threads, c.newPolicy, c.newPref)
+	w := tinyWorkload(t)
+	for _, c := range policyMatrix(w) {
+		t.Run(c.name, func(t *testing.T) {
+			ls := runBoth(t, c, w.Threads())
+			// Runs are off exactly where the machine must count single
+			// instructions; everywhere else most instructions are quiet.
+			_, hooked := c.newPolicy().(sim.QuietRunObserver)
+			perInstr := c.cfg.MaxInstructions > 0 || !hooked
+			if perInstr && ls.RunInstructions != 0 {
+				t.Errorf("retired %d instructions in runs on a per-instruction machine", ls.RunInstructions)
+			}
+			if !perInstr && ls.RunInstructions < ls.Events {
+				t.Errorf("quiet runs retired only %d of %d instructions", ls.RunInstructions, ls.Events+ls.RunInstructions)
+			}
+		})
+	}
+}
+
+// randomOps draws one thread's op stream for the property test: a PC walk
+// that mostly advances sequentially (crossing lines as it goes) but also
+// jumps inside its line, backwards, and across a small shared code region;
+// spins that stay on one line for longer than a decode batch; and reads
+// and writes to a handful of shared data blocks, so invalidations hit
+// other cores' current data lines. Lengths fall below, at and well above
+// the 256-op decode batch, so streams end mid-run and mid-batch.
+func randomOps(rng *rand.Rand) []trace.Op {
+	const (
+		codeBase, codeBlocks = 0x40000, 48
+		dataBase, dataBlocks = 0x900000, 6
+	)
+	var n int
+	switch rng.Intn(3) {
+	case 0:
+		n = 1 + rng.Intn(40)
+	case 1:
+		n = 250 + rng.Intn(14)
+	default:
+		n = 600 + rng.Intn(1200)
+	}
+	ops := make([]trace.Op, 0, n)
+	pc := uint64(codeBase + rng.Intn(codeBlocks)*64)
+	spin := 0
+	for len(ops) < n {
+		op := trace.Op{PC: pc}
+		if spin > 0 {
+			spin--
+		} else if rng.Intn(4) == 0 {
+			op.HasData = true
+			op.DataAddr = uint64(dataBase + rng.Intn(dataBlocks)*64 + rng.Intn(8)*8)
+			op.IsWrite = rng.Intn(3) == 0
+		}
+		ops = append(ops, op)
+		switch r := rng.Intn(100); {
+		case spin > 0 || r < 8: // elsewhere in the same line
+			pc = pc&^63 + uint64(rng.Intn(16))*4
+		case r < 14: // a short backwards branch
+			pc -= uint64(1+rng.Intn(24)) * 4
+		case r < 22: // a far jump
+			pc = uint64(codeBase + rng.Intn(codeBlocks)*64 + rng.Intn(16)*4)
+		case r < 23:
+			spin = 200 + rng.Intn(400)
+		default:
+			pc += 4
+		}
+	}
+	return ops
+}
+
+// TestRandomStreamsMatchReference is the seeded property behind quiet-run
+// retirement and the line micro-cache: whatever the op streams, policy and
+// observers, both loops agree. Caches are a few lines big so evictions,
+// prefetch fills and migrations are frequent.
+func TestRandomStreamsMatchReference(t *testing.T) {
+	seeds := 120
+	if testing.Short() {
+		seeds = 15
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		cores := 1 + rng.Intn(4)
+		threads := make([]trace.Thread, 1+rng.Intn(3*cores))
+		for i := range threads {
+			ops := randomOps(rng)
+			th := trace.Thread{ID: i, Type: i % 2}
+			if i%2 == 0 {
+				// A SpanSource: the machine borrows views of ops.
+				th.New = func() trace.Source { return trace.NewSliceSource(ops) }
+			} else {
+				// A BatchSource: the machine decodes into its own buffer.
+				var enc trace.OpEncoder
+				for _, op := range ops {
+					enc.Append(op)
+				}
+				th.New = func() trace.Source { return enc.Source() }
+			}
+			threads[i] = th
+		}
+		c := matrixCase{cfg: sim.Config{
+			Cores:             cores,
+			EnableTLB:         rng.Intn(2) == 0,
+			TrackReuse:        rng.Intn(2) == 0,
+			InstrPeerTransfer: rng.Intn(4) == 0,
+			LogEvents:         true,
+		}}
+		kinds := cache.Kinds()
+		c.cfg.L1I = cache.Config{SizeBytes: 1024, Ways: 4, Policy: kinds[rng.Intn(len(kinds))], Classify: rng.Intn(2) == 0}
+		c.cfg.L1D = cache.Config{SizeBytes: 512, Ways: 2, Policy: kinds[rng.Intn(len(kinds))], Classify: rng.Intn(2) == 0}
+		switch rng.Intn(3) {
+		case 0:
+			c.newPref = func() sim.Prefetcher { return prefetch.NewNextLine() }
+		case 1:
+			c.newPref = func() sim.Prefetcher { return prefetch.NewStream() }
+		}
+		switch rng.Intn(4) {
+		case 0:
+			c.name = "base"
+			c.newPolicy = func() sim.Policy { return sched.NewBaseline() }
+		case 1:
+			c.name = "steps"
+			c.newPolicy = func() sim.Policy { return &sched.STEPS{ChunkMisses: 6} }
+		case 2:
+			c.name = "csp"
+			c.newPolicy = func() sim.Policy {
+				p := sched.NewCSP([]sched.BlockRange{{Lo: 0x40000 / 64, Hi: 0x40000/64 + 16}})
+				p.MinStay = 20
+				return p
+			}
+		default:
+			c.name = "slicc"
+			variant := islicc.Variant(rng.Intn(2)) // Oblivious or SW
+			yield := rng.Intn(2) == 0
+			c.newPolicy = func() sim.Policy {
+				cfg := islicc.DefaultConfig(variant)
+				cfg.FillUpT, cfg.MatchedT, cfg.DilutionT, cfg.MSVWindow = 6, 2, 2, 16
+				cfg.YieldOnStay = yield
+				return islicc.New(cfg)
+			}
+		}
+		t.Run(fmt.Sprintf("seed%d-%s-%dcores", seed, c.name, cores), func(t *testing.T) {
+			runBoth(t, c, threads)
+		})
 	}
 }
 
@@ -119,14 +326,8 @@ func TestEventHorizonMatchesReference(t *testing.T) {
 // released alongside, which the geometry-keyed pools must never hand over.
 // Under `-tags slowsim` the same comparison runs on the reference loop.
 func TestRecycledStorageMatchesFresh(t *testing.T) {
-	threads := tinyWorkload(t).Threads()
-	build := func(c matrixCase) *sim.Machine {
-		var pref sim.Prefetcher
-		if c.newPref != nil {
-			pref = c.newPref()
-		}
-		return sim.New(c.cfg, c.newPolicy(), pref, threads)
-	}
+	w := tinyWorkload(t)
+	threads := w.Threads()
 	dirty := func(cfg sim.Config) {
 		cfg.TrackReuse, cfg.LogEvents, cfg.MaxInstructions = false, false, 0
 		cfg.L1I.Policy, cfg.L1D.Policy = cache.BRRIP, cache.DRRIP
@@ -138,13 +339,13 @@ func TestRecycledStorageMatchesFresh(t *testing.T) {
 		m.Run()
 		m.Release()
 	}
-	for _, c := range policyMatrix() {
+	for _, c := range policyMatrix(w) {
 		t.Run(c.name, func(t *testing.T) {
 			// Two collections empty the storage pools (sync.Pool keeps
 			// one cycle's victims), so the baseline allocates afresh.
 			runtime.GC()
 			runtime.GC()
-			fresh := build(c)
+			fresh := c.machine(threads)
 			if fresh.Recycled() {
 				t.Fatal("baseline machine was built on recycled storage")
 			}
@@ -153,7 +354,7 @@ func TestRecycledStorageMatchesFresh(t *testing.T) {
 			var m *sim.Machine
 			for try := 0; ; try++ {
 				dirty(c.cfg)
-				if m = build(c); m.Recycled() {
+				if m = c.machine(threads); m.Recycled() {
 					break
 				}
 				// The race detector makes sync.Pool drop a quarter of its
@@ -218,15 +419,19 @@ func TestEventHorizonMatchesReferenceTrace(t *testing.T) {
 	}
 	defer c.Close()
 
-	runBoth(t, "trace-base", sim.Config{Cores: 8}, c.Threads(),
-		func() sim.Policy { return sched.NewBaseline() }, nil)
-	runBoth(t, "trace-steps", sim.Config{Cores: 4, LogEvents: true}, c.Threads(),
-		func() sim.Policy { return sched.NewSTEPS() }, nil)
+	for _, mc := range []matrixCase{
+		{"trace-base", sim.Config{Cores: 8}, func() sim.Policy { return sched.NewBaseline() }, nil},
+		{"trace-steps", sim.Config{Cores: 4, LogEvents: true}, func() sim.Policy { return sched.NewSTEPS() }, nil},
+	} {
+		t.Run(mc.name, func(t *testing.T) { runBoth(t, mc, c.Threads()) })
+	}
 }
 
 // TestSteadyStateAllocs asserts the simulation loop does not allocate per
 // instruction: runs differing by ~160k instructions must allocate the same
 // within a small constant (machine construction, op-cache bookkeeping).
+// MaxInstructions makes these per-instruction machines;
+// TestSteadyStateAllocsQuietRuns guards the loop every other machine runs.
 func TestSteadyStateAllocs(t *testing.T) {
 	w := workload.New(workload.Config{Kind: workload.TPCC1, Threads: 8, Seed: 5, Scale: 0.05})
 	threads := w.Threads()
@@ -246,6 +451,36 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if diff := long - short; diff > 100 {
 		t.Fatalf("steady-state loop allocates: %.0f extra allocs over 160k extra instructions (short %.0f, long %.0f)",
 			diff, short, long)
+	}
+}
+
+// TestSteadyStateAllocsQuietRuns is TestSteadyStateAllocs for machines that
+// retire quiet runs (no MaxInstructions): complete runs of the same eight
+// transactions at two workload scales, several hundred thousand
+// instructions apart, must allocate the same within a small constant.
+func TestSteadyStateAllocsQuietRuns(t *testing.T) {
+	measure := func(scale float64) (allocs float64, instr uint64) {
+		w := workload.New(workload.Config{Kind: workload.TPCC1, Threads: 8, Seed: 5, Scale: scale})
+		run := func() {
+			m := sim.New(sim.Config{Cores: 4}, sched.NewBaseline(), nil, w.Threads())
+			instr = m.Run().Instructions
+			if m.LoopStats().RunInstructions == 0 {
+				t.Fatal("machine retired no quiet runs")
+			}
+		}
+		// Warm the workload's op-stream cache, as above.
+		run()
+		run()
+		return testing.AllocsPerRun(5, run), instr
+	}
+	short, shortInstr := measure(0.05)
+	long, longInstr := measure(0.6)
+	if longInstr < shortInstr+200_000 {
+		t.Fatalf("workloads too close to tell: %d vs %d instructions", shortInstr, longInstr)
+	}
+	if diff := long - short; diff > 100 {
+		t.Fatalf("steady-state loop allocates: %.0f extra allocs over %d extra instructions (short %.0f, long %.0f)",
+			diff, longInstr-shortInstr, short, long)
 	}
 }
 

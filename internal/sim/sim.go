@@ -44,7 +44,10 @@ type Config struct {
 	// (costs memory proportional to the code footprint).
 	TrackReuse bool
 	// MaxInstructions aborts the run after this many instructions
-	// (0 = unlimited). A safety net for exploratory configurations.
+	// (0 = unlimited). A safety net for exploratory configurations; the
+	// abort trips at one global instruction count, so a machine with a
+	// limit executes strictly one instruction per scheduler step (no
+	// quiet-run retirement, see Machine.step).
 	MaxInstructions uint64
 	// InstrPeerTransfer serves L1-I misses from peer L1-I caches over the
 	// NoC when possible (an ablation extension; the paper's machine keeps
@@ -105,8 +108,9 @@ type ThreadState struct {
 	src trace.Source
 	// batcher/spanner are src's optional bulk-decode fast paths, resolved
 	// once at machine construction. batch[batchPos:batchLen] are
-	// decoded-but-unexecuted ops: a reusable buffer the batcher fills, or
-	// a borrowed view of the spanner's backing storage (no copy).
+	// decoded-but-unexecuted ops: a reusable buffer the batcher (or, for a
+	// source with neither, a loop over Next) fills, or a borrowed view of
+	// the spanner's backing storage (no copy).
 	batcher  trace.BatchSource
 	spanner  trace.SpanSource
 	batch    []trace.Op
@@ -158,7 +162,10 @@ type Policy interface {
 }
 
 // Prefetcher reacts to instruction fetches on a core, typically by calling
-// Machine.PrefetchInstr.
+// Machine.PrefetchInstr. OnFetch is called when the core's fetch moves to
+// another line and on every miss — not for repeat fetches of the line the
+// core is already on, which the machine retires without consulting the
+// cache model.
 type Prefetcher interface {
 	Name() string
 	OnFetch(m *Machine, core int, pc uint64, miss bool)
@@ -170,19 +177,26 @@ type coreState struct {
 	running *ThreadState
 	instr   uint64
 	imiss   uint64
-	// fetchBlock/fetchValid are the core's current fetch line: when the
-	// machine has no per-fetch observers (fastFetch), a fetch from the
-	// same instruction block as the previous one is known resident and
-	// skips the cache model entirely (sequential fetch through a line is
-	// ~15 of every 16 instructions). Only this core's own fetch path and
-	// PrefetchInstr can change the L1-I, and both maintain these fields.
+	// fetchBlock/fetchValid are the core's current fetch line: a fetch
+	// from the same instruction block as the previous one is a known hit
+	// that changes no model state, and skips the cache model (sequential
+	// fetch through a line is ~15 of every 16 instructions). That holds
+	// for every observer of the fetch path: the L1-I's episode rule skips
+	// the replacement update, the block is already the MRU node of the
+	// classification shadow and its page the MRU entry of the I-TLB, and
+	// prefetchers are not told of repeat fetches (see Prefetcher); what
+	// remains is counting, which creditFetches does. Only this core's own
+	// fetch path and PrefetchInstr can change the L1-I or its shadow, and
+	// both maintain these fields. The reference loop never sets
+	// fetchValid.
 	fetchBlock uint64
 	fetchValid bool
 	// dataBlock/dataValid mirror fetchBlock for the core's last data
 	// line: a *read* of the same block is a known hit with no model side
-	// effects (a row scan walks a block word by word). Writes always take
-	// the full path (directory upgrade), and a remote write invalidating
-	// this block clears the flag (see dataAccess).
+	// effects (a row scan walks a block word by word), again including the
+	// L1-D shadow and the D-TLB. Writes always take the full path
+	// (directory upgrade), and a remote write invalidating this block
+	// clears the flag (see dataAccess).
 	dataBlock uint64
 	dataValid bool
 }
@@ -203,6 +217,28 @@ type enqueuer interface {
 	EnqueueMigrated(core int, t *ThreadState)
 }
 
+// QuietRunObserver is the optional policy extension that lets the machine
+// retire quiet runs in one step. A quiet instruction fetches from the line
+// the core is already on and accesses no data: it cannot miss, and it
+// reads and writes nothing another core can observe. After an instruction
+// for which OnInstr requested no move, the machine retires the quiet
+// instructions that follow it in the thread's stream all at once and calls
+// OnQuietRun in place of their OnInstr calls; t.Instr and t.InstrOnCore
+// still count the instruction before the run.
+//
+// A policy may implement it only if, for such instructions, its OnInstr
+// never requests a move and touches only state private to the core or the
+// running thread: it may not read another core's clock, another thread's
+// Instr, or any state another core's events write. OnQuietRun must leave
+// the policy exactly as those OnInstr calls would have. A policy without
+// it (one that can act at any instruction, like sched.CSP) is stepped one
+// instruction at a time.
+type QuietRunObserver interface {
+	// OnQuietRun observes ops, the run's instructions in order: all on
+	// one instruction block, none with a data access, none missing.
+	OnQuietRun(core int, t *ThreadState, ops []trace.Op)
+}
+
 // Machine is a configured multicore instance, single-use: build, Run, read
 // results.
 type Machine struct {
@@ -218,21 +254,19 @@ type Machine struct {
 	// start instead of on every migration (nil for policies that never
 	// migrate, e.g. the baseline scheduler).
 	enqueue enqueuer
+	// quiet is the policy's OnQuietRun, type-asserted once at run start;
+	// nil steps the machine one instruction at a time (the policy has no
+	// bulk hook, MaxInstructions is set, or the reference loop runs).
+	quiet QuietRunObserver
 	// referenceLoop forces the pre-batching scheduler (see
 	// UseReferenceLoop).
 	referenceLoop bool
-	// fastFetch enables the per-core fetch-line micro-cache: legal only
-	// when nothing observes individual fetches — no prefetcher, TLB,
-	// reuse tracker or L1-I miss classification — because the skipped
-	// same-line accesses are pure hits with no model side effects.
-	fastFetch bool
-	// fastData is fastFetch's data-side twin (no D-TLB, no L1-D miss
-	// classification).
-	fastData bool
-	// iBlockShift/dBlockShift cache the L1 block shifts for the fast
-	// paths.
+	// iBlockShift/dBlockShift cache the L1 block shifts.
 	iBlockShift uint
 	dBlockShift uint
+	// quietCycles is what an instruction with no miss latency costs:
+	// timing.InstrCycles(0, 0), computed once.
+	quietCycles float64
 	// The running cores live in a two-tier event queue ordered by (local
 	// clock, core index); membership mirrors coreState.running exactly
 	// (fillIdleCores pushes, the finish/migrate/switch paths remove, the
@@ -271,7 +305,9 @@ type Machine struct {
 	latencies []float64
 	// instr doubles as the instruction-fetch access count: every executed
 	// instruction performs exactly one fetch.
-	instr      uint64
+	instr uint64
+	// runInstr counts the instructions retired in quiet runs (LoopStats).
+	runInstr   uint64
 	iMis       uint64
 	iPeer      uint64
 	dAcc, dMis uint64
@@ -323,8 +359,8 @@ func New(cfg Config, policy Policy, pref Prefetcher, threads []trace.Thread) *Ma
 		}
 		if ss, ok := t.src.(trace.SpanSource); ok {
 			t.spanner = ss
-		} else if bs, ok := t.src.(trace.BatchSource); ok {
-			t.batcher = bs
+		} else {
+			t.batcher, _ = t.src.(trace.BatchSource)
 			t.batch = make([]trace.Op, opBatchLen)
 		}
 		m.threads[i] = t
@@ -332,6 +368,9 @@ func New(cfg Config, policy Policy, pref Prefetcher, threads []trace.Thread) *Ma
 	if cfg.TrackReuse {
 		m.reuse = NewReuseTracker(len(threads))
 	}
+	m.iBlockShift = uint(bits.TrailingZeros64(uint64(m.l1i[0].Config().BlockBytes)))
+	m.dBlockShift = uint(bits.TrailingZeros64(uint64(m.l1d[0].Config().BlockBytes)))
+	m.quietCycles = m.timing.InstrCycles(0, 0)
 	if cfg.EnableTLB {
 		m.itlb = make([]*tlb.TLB, cfg.Cores)
 		m.dtlb = make([]*tlb.TLB, cfg.Cores)
@@ -339,14 +378,13 @@ func New(cfg Config, policy Policy, pref Prefetcher, threads []trace.Thread) *Ma
 			m.itlb[c] = tlb.New(cfg.TLB)
 			m.dtlb[c] = tlb.New(cfg.TLB)
 		}
+		// A repeat access to a cache line is a repeat access to its page
+		// (coreState.fetchBlock) only if lines do not straddle pages.
+		page := uint(bits.TrailingZeros64(uint64(m.itlb[0].Config().PageBytes)))
+		if page < m.iBlockShift || page < m.dBlockShift {
+			panic("sim: TLB page smaller than an L1 block")
+		}
 	}
-	// The per-core line micro-caches are only sound when no component
-	// observes the individual accesses they elide; see Machine.fastFetch
-	// and Machine.fastData.
-	m.fastFetch = pref == nil && m.itlb == nil && m.reuse == nil && !m.l1i[0].Config().Classify
-	m.iBlockShift = uint(bits.TrailingZeros64(uint64(m.l1i[0].Config().BlockBytes)))
-	m.fastData = m.dtlb == nil && !m.l1d[0].Config().Classify
-	m.dBlockShift = uint(bits.TrailingZeros64(uint64(m.l1d[0].Config().BlockBytes)))
 	return m
 }
 
@@ -387,6 +425,22 @@ func (m *Machine) L1I(c int) *cache.Cache { return m.l1i[c] }
 // L1D returns core c's data cache.
 func (m *Machine) L1D(c int) *cache.Cache { return m.l1d[c] }
 
+// ITLB returns core c's instruction TLB (nil unless Config.EnableTLB).
+func (m *Machine) ITLB(c int) *tlb.TLB {
+	if m.itlb == nil {
+		return nil
+	}
+	return m.itlb[c]
+}
+
+// DTLB returns core c's data TLB (nil unless Config.EnableTLB).
+func (m *Machine) DTLB(c int) *tlb.TLB {
+	if m.dtlb == nil {
+		return nil
+	}
+	return m.dtlb[c]
+}
+
 // Timing returns the cycle-cost model.
 func (m *Machine) Timing() cpu.Timing { return m.timing }
 
@@ -398,6 +452,24 @@ func (m *Machine) Now(c int) float64 { return m.cores[c].time }
 
 // Reuse returns the Figure 3 tracker (nil unless Config.TrackReuse).
 func (m *Machine) Reuse() *ReuseTracker { return m.reuse }
+
+// LoopStats counts the scheduler's own work, which is no part of the
+// simulated outcome (and so of no Result): the same run reads the same
+// Result on either loop, and different LoopStats.
+type LoopStats struct {
+	// Events is the instructions the scheduler stepped one by one: each
+	// cost a scheduling decision, a cache-model consult at most, and a
+	// Policy.OnInstr call.
+	Events uint64
+	// RunInstructions is the instructions retired in quiet runs behind
+	// those events. Events + RunInstructions == Result.Instructions.
+	RunInstructions uint64
+}
+
+// LoopStats returns the scheduler's work counts so far.
+func (m *Machine) LoopStats() LoopStats {
+	return LoopStats{Events: m.instr - m.runInstr, RunInstructions: m.runInstr}
+}
 
 // PrefetchInstr fills the block containing addr into core c's L1-I,
 // updating L2 state; the fill latency is assumed hidden (prefetches are
@@ -441,14 +513,8 @@ const opBatchLen = 256
 // TestEventHorizonMatchesReference).
 func (m *Machine) RunContext(ctx context.Context) (Result, error) {
 	done := ctx.Done()
-	m.policy.Attach(m, m.threads)
-	m.enqueue, _ = m.policy.(enqueuer)
-	m.fillIdleCores()
+	m.start()
 	if m.referenceLoop {
-		// The reference loop is the oracle: disable the line micro-caches
-		// too, so every access goes through the full cache model and the
-		// differential tests check the fast paths rather than share them.
-		m.fastFetch, m.fastData = false, false
 		return m.runReference(ctx, done)
 	}
 	if _, cancelled := m.runLoop(done, math.MaxUint64); cancelled {
@@ -458,18 +524,31 @@ func (m *Machine) RunContext(ctx context.Context) (Result, error) {
 	return m.result(), nil
 }
 
-// runLoop advances the event-horizon scheduler by at most budget
-// instructions. It returns finished=true when the machine has no work left
-// — every thread done, or the MaxInstructions abort tripped (m.aborted
-// distinguishes) — and cancelled=true when the done channel fired at a
-// poll point. Both false means the budget ran out with work remaining; all
-// loop state lives in the Machine and the queue is left consistent, so a
-// later call resumes at exactly the instruction this one stopped before.
-// RunBatch's lockstep quanta rest on that resumability, which is why the
-// budget checks sit on the post-step paths rather than a cheaper outer
-// wrapper.
+// start wires the policy to the machine and fills the cores: what every
+// run does before its loop.
+func (m *Machine) start() {
+	m.policy.Attach(m, m.threads)
+	m.enqueue, _ = m.policy.(enqueuer)
+	if !m.referenceLoop && m.cfg.MaxInstructions == 0 {
+		m.quiet, _ = m.policy.(QuietRunObserver)
+	}
+	m.fillIdleCores()
+}
+
+// runLoop advances the event-horizon scheduler until the first step at or
+// past budget instructions (a step retires one instruction and the quiet
+// run behind it, so a call may overshoot the budget by a run). It returns
+// finished=true when the machine has no work left — every thread done, or
+// the MaxInstructions abort tripped (m.aborted distinguishes) — and
+// cancelled=true when the done channel fired at a poll point. Both false
+// means the budget ran out with work remaining; all loop state lives in
+// the Machine and the queue is left consistent, so a later call resumes at
+// exactly the instruction this one stopped before. RunBatch's lockstep
+// quanta rest on that resumability, which is why the budget checks sit on
+// the post-step paths rather than a cheaper outer wrapper.
 func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancelled bool) {
 	steps := uint64(0)
+	first := m.instr
 	for {
 		if done != nil && steps&cancelCheckMask == 0 {
 			select {
@@ -530,7 +609,7 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 				}
 				ct := m.cores[c].time
 				if ct < hz.t || (ct == hz.t && root.c < hz.c) {
-					if steps < budget {
+					if m.instr-first < budget {
 						continue
 					}
 					// Budget exhausted mid-streak: the heap root's key is
@@ -544,7 +623,7 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 				m.siftDown(0)
 				break
 			}
-			if steps >= budget {
+			if m.instr-first >= budget {
 				return false, false
 			}
 			continue
@@ -565,7 +644,7 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 			m.futPush(heapEntry{t: m.cores[c].time, c: e.c})
 		}
 		m.floating = -1
-		if steps >= budget {
+		if m.instr-first >= budget {
 			return false, false
 		}
 	}
@@ -753,9 +832,9 @@ func (m *Machine) fillIdleCores() bool {
 	return any
 }
 
-// refillOp is nextOp's slow path: pull the next op window from the
-// thread's bulk decoder, or fall back to Source.Next. The reference loop
-// always takes the Next path, so the differential test exercises the batch
+// refillOp is step's slow path: pull the next op window from the thread's
+// bulk decoder, or decode one with Source.Next. The reference loop always
+// takes single ops from Next, so the differential test exercises the batch
 // decoders against the plain decoder too.
 func (m *Machine) refillOp(t *ThreadState) (trace.Op, bool) {
 	if m.referenceLoop {
@@ -770,22 +849,32 @@ func (m *Machine) refillOp(t *ThreadState) (trace.Op, bool) {
 		t.batchPos, t.batchLen = 1, len(sp)
 		return sp[0], true
 	}
+	n := 0
 	if t.batcher != nil {
-		n := t.batcher.NextBatch(t.batch)
-		if n <= 0 {
-			return trace.Op{}, false
+		n = t.batcher.NextBatch(t.batch)
+	} else {
+		for ; n < len(t.batch); n++ {
+			op, ok := t.src.Next()
+			if !ok {
+				break
+			}
+			t.batch[n] = op
 		}
-		t.batchPos, t.batchLen = 1, n
-		return t.batch[0], true
 	}
-	return t.src.Next()
+	if n <= 0 {
+		return trace.Op{}, false
+	}
+	t.batchPos, t.batchLen = 1, n
+	return t.batch[0], true
 }
 
-// step executes one instruction on core c. It reports whether the running
-// set changed (thread finish, migration or context switch) — the events
-// that invalidate the caller's scheduling horizon.
+// step executes one instruction on core c and, when nothing came of it,
+// retires the quiet run behind it (retireQuietRun). It reports whether the
+// running set changed (thread finish, migration or context switch) — the
+// events that invalidate the caller's scheduling horizon.
 func (m *Machine) step(c int) (sched bool) {
-	t := m.cores[c].running
+	cs := &m.cores[c]
+	t := cs.running
 	// The batch-consume fast path is written out here: this is the hottest
 	// load in the simulator and the refill branch is cold.
 	var op trace.Op
@@ -800,8 +889,8 @@ func (m *Machine) step(c int) (sched bool) {
 	if !ok {
 		t.Done = true
 		m.finished++
-		m.latencies = append(m.latencies, m.cores[c].time-t.StartedAt)
-		m.cores[c].running = nil
+		m.latencies = append(m.latencies, cs.time-t.StartedAt)
+		cs.running = nil
 		m.heapRemove(c)
 		m.policy.OnThreadFinish(c, t)
 		m.fillIdleCores()
@@ -813,20 +902,21 @@ func (m *Machine) step(c int) (sched bool) {
 	// paper's Table 2 machine keeps MESI for L1-D only) by cache-to-cache
 	// transfer from the nearest peer L1-I holding the block.
 	//
-	// A fetch from the core's current line (fastFetch) is a known hit with
-	// no model side effects — the cache's own episode rule would skip the
-	// replacement update too — so the cache model is consulted only on
-	// line changes.
+	// A fetch from the core's current line is a known hit with no model
+	// side effects (coreState.fetchBlock), so the cache model is consulted
+	// only on line changes.
 	block := op.PC >> m.iBlockShift
 	iHit := true
 	ilat := 0
-	if !m.fastFetch || block != m.cores[c].fetchBlock || !m.cores[c].fetchValid {
+	if block == cs.fetchBlock && cs.fetchValid {
+		m.creditFetches(c, t, block, 1)
+	} else {
 		ires := m.l1i[c].Access(op.PC, false)
-		m.cores[c].fetchBlock, m.cores[c].fetchValid = block, true
+		cs.fetchBlock, cs.fetchValid = block, !m.referenceLoop
 		iHit = ires.Hit
 		if !ires.Hit {
 			m.iMis++
-			m.cores[c].imiss++
+			cs.imiss++
 			peer := -1
 			if m.cfg.InstrPeerTransfer {
 				peer = m.nearestInstrPeer(c, block)
@@ -845,7 +935,7 @@ func (m *Machine) step(c int) (sched bool) {
 			m.pref.OnFetch(m, c, op.PC, !ires.Hit)
 		}
 		if m.reuse != nil {
-			m.reuse.Record(block, t.ID, t.Type)
+			m.reuse.Record(block, t.ID, t.Type, 1)
 		}
 	}
 
@@ -854,15 +944,12 @@ func (m *Machine) step(c int) (sched bool) {
 	dmiss := false
 	if op.HasData {
 		dlat, dmiss = m.dataAccess(c, op.DataAddr, op.IsWrite)
-		if m.dtlb != nil {
-			dlat += m.dtlb[c].Access(op.DataAddr)
-		}
 	}
 
-	m.cores[c].time += m.timing.InstrCycles(ilat, dlat)
+	cs.time += m.timing.InstrCycles(ilat, dlat)
 	t.Instr++
 	t.InstrOnCore++
-	m.cores[c].instr++
+	cs.instr++
 	m.instr++
 
 	f := Fetch{PC: op.PC, Block: block, IMiss: !iHit, DMiss: dmiss}
@@ -874,7 +961,63 @@ func (m *Machine) step(c int) (sched bool) {
 		}
 		return true
 	}
+	// fetchValid is false here only if a prefetch fill just disturbed the
+	// L1-I (PrefetchInstr): the next fetch must consult it again.
+	if m.quiet != nil && cs.fetchValid {
+		m.retireQuietRun(c, cs, t)
+	}
 	return false
+}
+
+// creditFetches counts n fetches of core c's current line by thread t,
+// which skipped the cache model, wherever a modeled fetch is counted.
+func (m *Machine) creditFetches(c int, t *ThreadState, block uint64, n uint64) {
+	m.l1i[c].CountHits(n)
+	if m.itlb != nil {
+		m.itlb[c].CountHits(n)
+	}
+	if m.reuse != nil {
+		m.reuse.Record(block, t.ID, t.Type, n)
+	}
+}
+
+// retireQuietRun retires, in one step, the quiet instructions that follow
+// the one core c just executed: the already-decoded ops that fetch from the
+// core's current line and access no data. Each is a known L1-I hit that
+// touches no shared state — no cache, directory, NoC or queue, and (the
+// QuietRunObserver contract) no policy state another core's events read or
+// write — so it commutes with every instruction of every other core:
+// retiring it now, ahead of other cores' earlier-clocked instructions,
+// leaves each non-quiet instruction of the machine with exactly the
+// (clock-before, core) key, and the state, it has under the reference
+// scheduler. That is why the run may cross the caller's event horizon.
+//
+// The clock takes one add per instruction, not one multiply, so float
+// accumulation rounds exactly as instruction-at-a-time stepping does.
+func (m *Machine) retireQuietRun(c int, cs *coreState, t *ThreadState) {
+	ops := t.batch[t.batchPos:t.batchLen]
+	block, shift := cs.fetchBlock, m.iBlockShift
+	k := 0
+	for k < len(ops) && !ops[k].HasData && ops[k].PC>>shift == block {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	m.quiet.OnQuietRun(c, t, ops[:k])
+	time, cycles := cs.time, m.quietCycles
+	for i := 0; i < k; i++ {
+		time += cycles
+	}
+	cs.time = time
+	n := uint64(k)
+	t.batchPos += k
+	t.Instr += n
+	t.InstrOnCore += n
+	cs.instr += n
+	m.instr += n
+	m.runInstr += n
+	m.creditFetches(c, t, block, n)
 }
 
 // contextSwitch yields the running thread back to its own core's queue
@@ -901,17 +1044,24 @@ func (m *Machine) contextSwitch(c int, t *ThreadState) {
 func (m *Machine) dataAccess(c int, addr uint64, write bool) (lat int, miss bool) {
 	m.dAcc++
 	block := addr >> m.dBlockShift
-	// A read of the core's current data line (fastData) is a known hit
-	// with no model side effects — the cache's episode rule would skip
-	// the replacement update too. Row scans walk a block word by word, so
-	// this is the common data reference. Writes always take the full path
-	// (they may need a directory upgrade).
-	if !write && m.fastData && block == m.cores[c].dataBlock && m.cores[c].dataValid {
+	cs := &m.cores[c]
+	// A read of the core's current data line is a known hit with no model
+	// side effects (coreState.dataBlock). Row scans walk a block word by
+	// word, so this is the common data reference. Writes always take the
+	// full path (they may need a directory upgrade).
+	if !write && block == cs.dataBlock && cs.dataValid {
+		m.l1d[c].CountHits(1)
+		if m.dtlb != nil {
+			m.dtlb[c].CountHits(1)
+		}
 		return 0, false
+	}
+	if m.dtlb != nil {
+		lat = m.dtlb[c].Access(addr)
 	}
 	l1d := m.l1d[c]
 	res := l1d.Access(addr, write)
-	m.cores[c].dataBlock, m.cores[c].dataValid = block, true
+	cs.dataBlock, cs.dataValid = block, !m.referenceLoop
 	if res.EvictedValid {
 		m.dir.removeSharer(res.Evicted, c)
 	}

@@ -213,17 +213,18 @@ func TestMaxInstructionsAborts(t *testing.T) {
 func TestReuseTracker(t *testing.T) {
 	rt := NewReuseTracker(10)
 	// Block 1: single thread; block 2: 3/10 threads (few);
-	// block 3: 8/10 (most). One access per touch.
-	rt.Record(1, 0, 0)
+	// block 3: 8/10 (most). One access per touch, but two (one counted
+	// Record) of block 1.
+	rt.Record(1, 0, 0, 2)
 	for id := 0; id < 3; id++ {
-		rt.Record(2, id, 0)
+		rt.Record(2, id, 0, 1)
 	}
 	for id := 0; id < 8; id++ {
-		rt.Record(3, id, 0)
+		rt.Record(3, id, 0, 1)
 	}
 	g := rt.Global()
-	total := 1.0 + 3 + 8
-	if !approx(g.Single, 1/total) || !approx(g.Few, 3/total) || !approx(g.Most, 8/total) {
+	total := 2.0 + 3 + 8
+	if !approx(g.Single, 2/total) || !approx(g.Few, 3/total) || !approx(g.Most, 8/total) {
 		t.Fatalf("global breakdown = %+v", g)
 	}
 }
@@ -234,9 +235,9 @@ func TestReuseTrackerPerType(t *testing.T) {
 	// Block 5 is touched by all of type 0 (most within type) and one
 	// thread of type 1 (single within type).
 	for id := 0; id < 4; id++ {
-		rt.Record(5, id, 0)
+		rt.Record(5, id, 0, 1)
 	}
-	rt.Record(5, 4, 1)
+	rt.Record(5, 4, 1, 1)
 	pt := rt.PerType()
 	if !approx(pt.Most, 4.0/5) || !approx(pt.Single, 1.0/5) {
 		t.Fatalf("per-type breakdown = %+v", pt)

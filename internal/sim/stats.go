@@ -218,8 +218,8 @@ func NewReuseTracker(nThreads int) *ReuseTracker {
 	}
 }
 
-// Record notes one instruction-block access by a thread.
-func (rt *ReuseTracker) Record(block uint64, threadID, typ int) {
+// Record notes n instruction-block accesses by a thread.
+func (rt *ReuseTracker) Record(block uint64, threadID, typ int, n uint64) {
 	if _, ok := rt.threadType[threadID]; !ok {
 		rt.threadType[threadID] = typ
 		rt.typeThreads[typ]++
@@ -244,7 +244,7 @@ func (rt *ReuseTracker) Record(block uint64, threadID, typ int) {
 		acc = grown
 		rt.accesses[block] = acc
 	}
-	acc[typ]++
+	acc[typ] += n
 }
 
 func (rt *ReuseTracker) maxTypeSlots(typ int) int {

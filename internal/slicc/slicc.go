@@ -28,6 +28,7 @@ import (
 
 	"slicc/internal/bloom"
 	"slicc/internal/sim"
+	"slicc/internal/trace"
 )
 
 // Variant selects the SLICC flavour.
@@ -349,6 +350,25 @@ func (p *Policy) OnInstr(core int, t *sim.ThreadState, f sim.Fetch) int {
 		}
 	}
 	return dest
+}
+
+// OnQuietRun implements sim.QuietRunObserver. A quiet instruction is a
+// hit: all OnInstr does with one is shift a zero into the MSV at a fetch-
+// group boundary. It cannot reach a migration evaluation, because the
+// instruction before the run did not (or reached one that reset the MTQ):
+// a hit leaves the MTQ as it is and can only lower the MSV's miss count.
+// The only other writer of this core's agent is a team-completion reset on
+// another core, which wipes the MSV whatever was shifted into it.
+func (p *Policy) OnQuietRun(core int, t *sim.ThreadState, ops []trace.Op) {
+	a := &p.agents[core]
+	if !a.full {
+		return
+	}
+	for i := range ops {
+		if ops[i].PC%fetchGroupBytes == 0 {
+			a.pushMSV(false)
+		}
+	}
 }
 
 // OnThreadFinish implements sim.Policy.

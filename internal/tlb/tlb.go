@@ -110,6 +110,12 @@ func (t *TLB) Access(addr uint64) int {
 	return t.cfg.MissLatency
 }
 
+// CountHits credits n translations that hit, for a caller that knows the
+// outcome without consulting the model: repeat accesses to the page the
+// previous Access touched. That page is already the MRU entry, so the
+// counter is the whole effect of each.
+func (t *TLB) CountHits(n uint64) { t.stats.Accesses += n }
+
 // Contains probes for a page without side effects.
 func (t *TLB) Contains(addr uint64) bool {
 	_, ok := t.nodes[t.Page(addr)]
