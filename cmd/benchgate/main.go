@@ -31,6 +31,9 @@
 // -min-respcache-speedup holds both of sliccd's warm-GET fast paths —
 // cached response bytes and If-None-Match 304s — at N times the uncached
 // marshal (server.BenchmarkServerWarmGet sub-benchmarks).
+// -min-stats-speedup holds store.Stats on an unchanged directory (one
+// stat) at N times cheaper than the listing it replaces
+// (store.BenchmarkStats quiescent vs scanning, 512 entries).
 // -max-tiny-fixed-share is a host-independent ceiling rather than a ratio
 // of two series: runner.BenchmarkTinyCell reports the share of a tiny
 // cell's wall-clock spent outside the simulation loop (workload and machine
@@ -67,6 +70,7 @@ func main() {
 		minWarm  = flag.Float64("min-warm-speedup", 0, "minimum BenchmarkStoreColdRun/BenchmarkStoreWarmRun ns/op ratio (0 disables)")
 		minMem   = flag.Float64("min-mem-speedup", 0, "minimum BenchmarkGetHit/BenchmarkGetHitMem ns/op ratio — disk vs memory-tier store hit (0 disables)")
 		minResp  = flag.Float64("min-respcache-speedup", 0, "minimum BenchmarkServerWarmGet uncached/cached and uncached/notmodified ns/op ratios (0 disables)")
+		minStats = flag.Float64("min-stats-speedup", 0, "minimum BenchmarkStats scanning/quiescent ns/op ratio — store.Stats listing the directory vs reusing its last listing (0 disables)")
 		maxFixed = flag.Float64("max-tiny-fixed-share", 0, "maximum BenchmarkTinyCell fixed_share — the share of a tiny cell's wall-clock spent outside Machine.RunContext (0 disables)")
 		minRuns  = flag.Float64("min-run-share", 0, "minimum BenchmarkMachineRun/base run_share — the share of instructions retired in quiet runs (0 disables)")
 	)
@@ -93,7 +97,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results on stdin")
 		os.Exit(2)
 	}
-	failures := gate(os.Stdout, results, floors, *tol, *timeTol, *minRatio, *minWarm, *minMem, *minResp, *maxFixed, *minRuns)
+	failures := gate(os.Stdout, results, floors, *tol, *timeTol, *minRatio, *minWarm, *minMem, *minResp, *minStats, *maxFixed, *minRuns)
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) below floor\n", failures)
 		os.Exit(1)
@@ -225,7 +229,7 @@ func num(v float64) string {
 // gate prints a verdict table and returns the failure count. Benchmarks
 // with no recorded baseline pass (reported as such); the host-independent
 // ratio checks run when their flags are > 0.
-func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, minRatio, minWarm, minMem, minResp, maxFixed, minRunShare float64) int {
+func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, minRatio, minWarm, minMem, minResp, minStats, maxFixed, minRunShare float64) int {
 	failures := 0
 	names := make([]string, 0, len(results))
 	for name := range results {
@@ -293,6 +297,10 @@ func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, min
 			"BenchmarkServerWarmGet/uncached", "BenchmarkServerWarmGet/cached", minResp)
 		failures += speedup(w, results, "not-modified",
 			"BenchmarkServerWarmGet/uncached", "BenchmarkServerWarmGet/notmodified", minResp)
+	}
+	if minStats > 0 {
+		failures += speedup(w, results, "quiescent stats",
+			"BenchmarkStats/scanning", "BenchmarkStats/quiescent", minStats)
 	}
 	if maxFixed > 0 {
 		share, ok := results["BenchmarkTinyCell"]["fixed_share"]

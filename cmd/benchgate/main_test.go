@@ -45,6 +45,8 @@ pkg: slicc/internal/store
 BenchmarkPut-16             	   10000	    110289 ns/op	  37.14 MB/s	    5671 B/op	      15 allocs/op
 BenchmarkGetHit-16          	  130000	      8921 ns/op	 459.12 MB/s	    5720 B/op	      10 allocs/op
 BenchmarkGetHitMem-16       	 9000000	       121 ns/op	33851.20 MB/s	       0 B/op	       0 allocs/op
+BenchmarkStats/quiescent-16 	 1300000	       873 ns/op
+BenchmarkStats/scanning-16  	    1000	   1178546 ns/op
 PASS
 pkg: slicc/internal/server
 BenchmarkServerWarmGet/uncached-16     	   80000	     14832 ns/op	    9321 B/op	      63 allocs/op
@@ -145,14 +147,14 @@ func TestGate(t *testing.T) {
 	floors := loadFloors(t, sampleBaseline)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0, 0); n != 0 {
 		t.Fatalf("clean run failed %d gate(s):\n%s", n, out.String())
 	}
 
 	// A collapsed rate must fail: drop base to half its floor-with-tolerance.
 	results["BenchmarkMachineRun/base"]["instr/s"] = 15421476 * 0.3
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("regressed run reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -161,7 +163,7 @@ func TestGate(t *testing.T) {
 	results["BenchmarkMachineRun/base"]["instr/s"] = 15421476
 	results["BenchmarkMachineRun/base"]["ns/op"] = 221508045 * 6
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("slow run reported %d failures, want 1:\n%s", n, out.String())
 	}
 	results["BenchmarkMachineRun/base"]["ns/op"] = 221508045
@@ -170,7 +172,7 @@ func TestGate(t *testing.T) {
 	// even when its absolute floor (with tolerance) still passes.
 	results["BenchmarkSweepBatch/batched"]["cells/s"] = 5.637 * 0.70
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("batch-ratio regression reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -178,7 +180,7 @@ func TestGate(t *testing.T) {
 	delete(floors, "BenchmarkSweepBatch/batched")
 	results["BenchmarkSweepBatch/batched"]["cells/s"] = 5.998
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0, 0); n != 0 {
 		t.Fatalf("unknown benchmark failed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "no recorded floor") {
@@ -191,7 +193,7 @@ func TestGateWarmSpeedup(t *testing.T) {
 	floors := loadFloors(t, sampleStoreBaseline)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 20, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 20, 0, 0, 0, 0, 0); n != 0 {
 		t.Fatalf("clean store run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "warm-store speedup") {
@@ -203,14 +205,14 @@ func TestGateWarmSpeedup(t *testing.T) {
 	// with their generous host tolerance, could still pass.
 	results["BenchmarkStoreWarmRun"]["ns/op"] = results["BenchmarkStoreColdRun"]["ns/op"] / 10
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("degraded warm run reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing series is a failure, not a silent pass.
 	delete(results, "BenchmarkStoreWarmRun")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("missing warm series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
@@ -221,7 +223,7 @@ func TestGateMemSpeedup(t *testing.T) {
 
 	// Sample: disk hit 8921 ns vs mem hit 121 ns, ~74x — passes >= 5x.
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 5, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 5, 0, 0, 0, 0); n != 0 {
 		t.Fatalf("clean mem-tier run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "mem-tier hit speedup") {
@@ -232,15 +234,44 @@ func TestGateMemSpeedup(t *testing.T) {
 	// even though its absolute time would pass any host tolerance.
 	results["BenchmarkGetHitMem"]["ns/op"] = results["BenchmarkGetHit"]["ns/op"] * 0.5
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("degraded mem tier reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing series fails loudly.
 	delete(results, "BenchmarkGetHitMem")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0, 0, 0); n != 1 {
 		t.Fatalf("missing mem series reported %d failures, want 1:\n%s", n, out.String())
+	}
+}
+
+func TestGateStatsSpeedup(t *testing.T) {
+	results, _ := parseBench(strings.NewReader(sampleStoreBench))
+	floors := loadFloors(t, sampleStoreBaseline)
+
+	// Sample: a 512-entry listing 1178546 ns vs one stat 873 ns, 1350x.
+	var out strings.Builder
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 20, 0, 0); n != 0 {
+		t.Fatalf("clean stats run failed %d gate(s):\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "quiescent stats speedup") {
+		t.Fatalf("stats-speedup check not reported:\n%s", out.String())
+	}
+
+	// Stats listing the directory again on every call must fail even
+	// though a millisecond would pass any host's absolute tolerance.
+	results["BenchmarkStats/quiescent"]["ns/op"] = results["BenchmarkStats/scanning"]["ns/op"]
+	out.Reset()
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 0, 20, 0, 0); n != 1 {
+		t.Fatalf("quiescent Stats at listing cost reported %d failures, want 1:\n%s", n, out.String())
+	}
+
+	// Missing series fails loudly.
+	delete(results, "BenchmarkStats/scanning")
+	out.Reset()
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 0, 20, 0, 0); n != 1 {
+		t.Fatalf("missing stats series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
 
@@ -250,7 +281,7 @@ func TestGateRespCacheSpeedup(t *testing.T) {
 
 	// Sample: uncached 14832 ns vs cached 2716 / 304 2231 — both >= 5x.
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 5, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 5, 0, 0, 0); n != 0 {
 		t.Fatalf("clean response-cache run failed %d gate(s):\n%s", n, out.String())
 	}
 	for _, want := range []string{"response-cache speedup", "not-modified speedup"} {
@@ -263,14 +294,14 @@ func TestGateRespCacheSpeedup(t *testing.T) {
 	results["BenchmarkServerWarmGet/notmodified"]["ns/op"] =
 		results["BenchmarkServerWarmGet/uncached"]["ns/op"] * 0.5
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0, 0, 0); n != 1 {
 		t.Fatalf("degraded 304 path reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing sub-benchmarks fail both ratio checks loudly.
 	delete(results, "BenchmarkServerWarmGet/uncached")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0, 0); n != 2 {
+	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0, 0, 0); n != 2 {
 		t.Fatalf("missing uncached series reported %d failures, want 2:\n%s", n, out.String())
 	}
 }
@@ -292,7 +323,7 @@ PASS
 	floors := loadFloors(t, `{"points":[{"benchmarks":{"BenchmarkTinyCell":{"cells_s":90,"fixed_share":0.22}}}]}`)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.35, 0); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.35, 0); n != 0 {
 		t.Fatalf("clean tiny-cell run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "tiny-cell fixed share 0.221") {
@@ -301,7 +332,7 @@ PASS
 
 	// Fixed costs creeping back past the ceiling fail, whatever the host.
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.2, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.2, 0); n != 1 {
 		t.Fatalf("share above the ceiling reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -309,7 +340,7 @@ PASS
 	delete(results, "BenchmarkTinyCell")
 	results["BenchmarkOther"] = benchResult{"ns/op": 1}
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0.35, 0); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.35, 0); n != 1 {
 		t.Fatalf("missing tiny-cell series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
@@ -327,7 +358,7 @@ PASS
 	floors := loadFloors(t, `{"points":[{"benchmarks":{"BenchmarkMachineRun/base":{"instr_s":19000000,"run_share":0.6719}}}]}`)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.65); n != 0 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0.65); n != 0 {
 		t.Fatalf("clean run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "quiet-run share 0.672") {
@@ -337,14 +368,14 @@ PASS
 	// The count is exact, so the floor may sit close under it: a loop that
 	// retires fewer instructions in runs fails on any host.
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.7); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0.7); n != 1 {
 		t.Fatalf("share below the floor reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// A missing series fails loudly.
 	delete(results, "BenchmarkMachineRun/base")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.65); n != 1 {
+	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0.65); n != 1 {
 		t.Fatalf("missing base series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }

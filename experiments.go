@@ -327,11 +327,13 @@ func (e *Engine) StoreDir() string {
 	return e.store.Dir()
 }
 
-// StoreStats scans the engine's store directory and reports entry count,
-// total bytes, and this engine's eviction count. ok is false when the
-// engine has no store (EngineOptions.StoreDir unset). The scan reads the
-// directory listing; it is cheap enough for a stats endpoint or metrics
-// scrape, not for a per-job path.
+// StoreStats reports the engine's store directory's entry count and total
+// bytes, and this engine's eviction and memory-tier counters. ok is false
+// when the engine has no store (EngineOptions.StoreDir unset). An unchanged
+// directory costs one stat(2) — the store reuses its last listing while the
+// directory's mtime stands, exact across processes (store package docs,
+// "Stats") — and a directory being written costs a listing, O(entries): fit
+// for a stats endpoint or metrics scrape, not for a per-job path.
 func (e *Engine) StoreStats() (stats StoreStats, ok bool) {
 	if e.store == nil {
 		return StoreStats{}, false

@@ -149,8 +149,9 @@ func (s *Server) handleQueueDead(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, queue.DeadResponse{Dead: dead})
 }
 
-// queueStatsBody mirrors queue.Stats for /v1/stats; the same numbers the
-// slicc_queue_* metric families sample, so the surfaces agree.
+// queueStatsBody is queue.Stats with /v1/stats' JSON names (converted, so
+// the two cannot drift); the slicc_queue_* families below project the same
+// snapshot.
 type queueStatsBody struct {
 	// Pending entries are enqueued but unleased (including retry
 	// backoff); Leased entries are in flight on a worker; Dead is the
@@ -167,36 +168,27 @@ type queueStatsBody struct {
 	Failures    int64 `json:"failures"`
 }
 
-// registerQueueMetrics wires the scrape-time queue families (caller
-// verified Options.Queue).
-func (s *Server) registerQueueMetrics() {
-	reg := s.metrics.reg
-	q := s.opts.Queue
-	reg.GaugeFunc("slicc_queue_depth",
-		"Queue entries by state: pending (enqueued, unleased) or leased (in flight on a worker).",
-		func() float64 { return float64(q.Stats().Pending) }, telemetry.L("state", "pending"))
-	reg.GaugeFunc("slicc_queue_depth",
-		"Queue entries by state: pending (enqueued, unleased) or leased (in flight on a worker).",
-		func() float64 { return float64(q.Stats().Leased) }, telemetry.L("state", "leased"))
-	reg.GaugeFunc("slicc_queue_dead",
-		"Dead-letter queue entries (jobs that exhausted their retry budget).",
-		func() float64 { return float64(q.Stats().Dead) })
-	reg.CounterFunc("slicc_queue_enqueued_total",
-		"Jobs enqueued onto the durable queue.",
-		func() float64 { return float64(q.Stats().Enqueued) })
-	reg.CounterFunc("slicc_queue_leases_total",
-		"Leases issued to workers.",
-		func() float64 { return float64(q.Stats().Leases) })
-	reg.CounterFunc("slicc_queue_heartbeats_total",
-		"Lease renewals accepted.",
-		func() float64 { return float64(q.Stats().Heartbeats) })
-	reg.CounterFunc("slicc_queue_expirations_total",
-		"Leases that expired unacknowledged (crashed or stalled workers).",
-		func() float64 { return float64(q.Stats().Expirations) })
-	reg.CounterFunc("slicc_queue_completions_total",
-		"Jobs completed by workers.",
-		func() float64 { return float64(q.Stats().Completions) })
-	reg.CounterFunc("slicc_queue_failures_total",
-		"Failed job attempts recorded (explicit worker failures and lease expirations).",
-		func() float64 { return float64(q.Stats().Failures) })
+const queueDepthHelp = "Queue entries by state: pending (enqueued, unleased) or leased (in flight on a worker)."
+
+// queueFamilies are registered on distributed control planes
+// (Options.Queue); see registerMetrics.
+var queueFamilies = []sampled{
+	gauge("slicc_queue_depth", queueDepthHelp,
+		func(s snapshot) float64 { return float64(s.queue.Pending) }, telemetry.L("state", "pending")),
+	gauge("slicc_queue_depth", queueDepthHelp,
+		func(s snapshot) float64 { return float64(s.queue.Leased) }, telemetry.L("state", "leased")),
+	gauge("slicc_queue_dead", "Dead-letter queue entries (jobs that exhausted their retry budget).",
+		func(s snapshot) float64 { return float64(s.queue.Dead) }),
+	counter("slicc_queue_enqueued_total", "Jobs enqueued onto the durable queue.",
+		func(s snapshot) float64 { return float64(s.queue.Enqueued) }),
+	counter("slicc_queue_leases_total", "Leases issued to workers.",
+		func(s snapshot) float64 { return float64(s.queue.Leases) }),
+	counter("slicc_queue_heartbeats_total", "Lease renewals accepted.",
+		func(s snapshot) float64 { return float64(s.queue.Heartbeats) }),
+	counter("slicc_queue_expirations_total", "Leases that expired unacknowledged (crashed or stalled workers).",
+		func(s snapshot) float64 { return float64(s.queue.Expirations) }),
+	counter("slicc_queue_completions_total", "Jobs completed by workers.",
+		func(s snapshot) float64 { return float64(s.queue.Completions) }),
+	counter("slicc_queue_failures_total", "Failed job attempts recorded (explicit worker failures and lease expirations).",
+		func(s snapshot) float64 { return float64(s.queue.Failures) }),
 }

@@ -94,7 +94,7 @@ type Options struct {
 	Logger *slog.Logger
 	// Metrics is the registry /metrics exposes. Nil gets a fresh registry,
 	// which is almost always right — sharing one registry between servers
-	// panics on the second server's callback registrations.
+	// panics on the second server's sampled-family registrations.
 	Metrics *telemetry.Registry
 	// Pprof mounts net/http/pprof under /debug/pprof/ when true. Off by
 	// default: profiles expose internals, so enabling is a deployment
@@ -152,6 +152,8 @@ type Server struct {
 	metrics *serverMetrics
 	tracer  *telemetry.Tracer
 	start   time.Time
+	// src is what Server.snapshot reads (telemetry.go); set once in New.
+	src sources
 
 	mu   sync.Mutex
 	sims map[string]*simEntry
@@ -228,9 +230,6 @@ func New(eng *slicc.Engine, opts Options) *Server {
 		return eng.SweepStream(ctx, spec, emit)
 	}
 	s.registerMetrics()
-	if s.opts.Queue != nil {
-		s.registerQueueMetrics()
-	}
 	return s
 }
 
@@ -320,9 +319,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// storeStatsBody mirrors slicc.StoreStats for the stats endpoint; the
-// numbers are the same ones /metrics samples, so the surfaces agree.
-// Evictions are split per tier: disk entries evicted under the
+// storeStatsBody is slicc.StoreStats with the stats endpoint's JSON names
+// (converted, so the two cannot drift); /metrics projects the same
+// snapshot. Evictions are split per tier: disk entries evicted under the
 // -store-max-mb budget vs memory-tier entries evicted under
 // -store-mem-mb (both process-local).
 type storeStatsBody struct {
@@ -369,43 +368,25 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	n, ns := len(s.sims), len(s.sweeps)
-	s.mu.Unlock()
-	running, pending := s.sweepDepth()
+	snap := s.snapshot()
 	resp := statsResponse{
-		Engine: s.eng.Stats(),
+		Engine: snap.engine,
 		ResponseCache: respCacheBody{
 			Hits:        s.metrics.respCacheHits.Value(),
 			Misses:      s.metrics.respCacheMisses.Value(),
 			NotModified: s.metrics.notModified.Value(),
 		},
-		Simulations:       n,
-		Sweeps:            ns,
-		SweepsRunning:     running,
-		SweepCellsPending: pending,
-		UptimeSeconds:     time.Since(s.start).Seconds(),
+		Simulations:       snap.sims,
+		Sweeps:            snap.sweeps,
+		SweepsRunning:     snap.running,
+		SweepCellsPending: snap.pending,
+		UptimeSeconds:     snap.uptime,
 	}
-	if q := s.opts.Queue; q != nil {
-		st := q.Stats()
-		resp.Queue = &queueStatsBody{
-			Pending: st.Pending, Leased: st.Leased, Dead: st.Dead,
-			Enqueued: st.Enqueued, Leases: st.Leases, Heartbeats: st.Heartbeats,
-			Expirations: st.Expirations, Completions: st.Completions, Failures: st.Failures,
-		}
+	if s.src.queue != nil {
+		resp.Queue = (*queueStatsBody)(&snap.queue)
 	}
-	if st, ok := s.eng.StoreStats(); ok {
-		resp.Store = &storeStatsBody{
-			Entries:       st.Entries,
-			Bytes:         st.Bytes,
-			DiskEvictions: st.DiskEvictions,
-			MemEntries:    st.MemEntries,
-			MemBytes:      st.MemBytes,
-			MemEvictions:  st.MemEvictions,
-			MemHits:       st.MemHits,
-			MemMisses:     st.MemMisses,
-			NegativeHits:  st.NegativeHits,
-		}
+	if s.src.store != nil {
+		resp.Store = (*storeStatsBody)(&snap.store)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

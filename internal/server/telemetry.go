@@ -12,10 +12,11 @@ package server
 // access line, one grep-able ID across client, logs and traces.
 //
 // Metric families follow the Prometheus conventions: *_total counters,
-// *_seconds histograms, gauges for states. Engine and store counters are
-// not double-counted: /metrics samples the same runner.Stats and
-// store.Stats that /v1/stats reports, via scrape-time callbacks, so the
-// two surfaces always agree.
+// *_seconds histograms, gauges for states. Engine, store, queue and sweep
+// numbers are not kept twice: GET /v1/stats and a /metrics scrape are both
+// rendered from one call of Server.snapshot, which asks each source once,
+// so the two surfaces agree by construction and every family of one
+// exposition describes the same instant.
 
 import (
 	"log/slog"
@@ -26,12 +27,14 @@ import (
 	"time"
 
 	"slicc"
+	"slicc/internal/queue"
 	"slicc/internal/telemetry"
 )
 
 // serverMetrics bundles the handles the request path updates directly.
-// Everything sampled at scrape time (engine counters, store stats, queue
-// depth, uptime) is registered as a callback in registerMetrics instead.
+// Everything sampled at read time (engine counters, store stats, queue
+// depth, uptime) is a projection of Server.snapshot instead; see
+// registerMetrics.
 type serverMetrics struct {
 	reg             *telemetry.Registry
 	inFlight        *telemetry.Gauge
@@ -63,106 +66,138 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	}
 }
 
-// registerMetrics wires the scrape-time families: engine work counters
-// bridged from runner.Stats, store entry/byte/eviction stats, sweep queue
-// depth, and process uptime.
-func (s *Server) registerMetrics() {
-	reg := s.metrics.reg
-	eng := s.eng
-	engCounter := func(name, help string, f func(slicc.EngineStats) float64) {
-		reg.CounterFunc(name, help, func() float64 { return f(eng.Stats()) })
+// snapshot is one instant of everything the read surfaces sample rather
+// than count on the request path.
+type snapshot struct {
+	engine slicc.EngineStats
+	store  slicc.StoreStats // zero without a store
+	queue  queue.Stats      // zero without Options.Queue
+	// sims and sweeps count tracked entries; running is the subset of
+	// sweeps still executing and pending their unfinished result cells.
+	sims, sweeps, running, pending int
+	uptime                         float64
+}
+
+// sources are the calls a snapshot is made of, one per layer. New wires
+// the engine, the queue and the server's own sweep table; tests substitute
+// counting or scripted ones.
+type sources struct {
+	engine func() slicc.EngineStats
+	store  func() (slicc.StoreStats, bool) // nil without a store
+	queue  func() queue.Stats              // nil without Options.Queue
+	sweeps func() (running, pending int)
+}
+
+// snapshot asks every source exactly once.
+func (s *Server) snapshot() snapshot {
+	snap := snapshot{engine: s.src.engine(), uptime: time.Since(s.start).Seconds()}
+	if s.src.store != nil {
+		snap.store, _ = s.src.store()
 	}
-	engCounter("slicc_sims_requested_total",
-		"Simulations requested of the engine (executions + dedup hits + store hits).",
-		func(e slicc.EngineStats) float64 { return float64(e.SimsRequested) })
-	engCounter("slicc_sims_executed_total",
-		"Simulations actually executed (cache misses).",
-		func(e slicc.EngineStats) float64 { return float64(e.SimsExecuted) })
-	engCounter("slicc_sims_remote_total",
-		"Simulations dispatched to the distributed worker fleet.",
-		func(e slicc.EngineStats) float64 { return float64(e.SimsRemote) })
-	engCounter("slicc_dedup_hits_total",
-		"Simulations served by an identical in-process execution.",
-		func(e slicc.EngineStats) float64 { return float64(e.DedupHits) })
-	engCounter("slicc_store_hits_total",
-		"Simulations served from the persistent result store.",
-		func(e slicc.EngineStats) float64 { return float64(e.StoreHits) })
-	engCounter("slicc_store_puts_total",
-		"Executed results recorded into the persistent result store.",
-		func(e slicc.EngineStats) float64 { return float64(e.StorePuts) })
-	engCounter("slicc_workloads_built_total",
-		"Workload syntheses and trace opens (workload-cache misses).",
-		func(e slicc.EngineStats) float64 { return float64(e.WorkloadsBuilt) })
-	engCounter("slicc_workload_hits_total",
-		"Workload-cache hits.",
-		func(e slicc.EngineStats) float64 { return float64(e.WorkloadHits) })
-	engCounter("slicc_instructions_simulated_total",
-		"Instructions simulated across executed simulations.",
-		func(e slicc.EngineStats) float64 { return float64(e.InstructionsSimulated) })
-	engCounter("slicc_sim_cells_batched_total",
-		"Simulations that ran inside lockstep sweep batches.",
-		func(e slicc.EngineStats) float64 { return float64(e.CellsBatched) })
-	engCounter("slicc_sim_batches_executed_total",
-		"Lockstep batch passes executed.",
-		func(e slicc.EngineStats) float64 { return float64(e.BatchesExecuted) })
-	engCounter("slicc_batch_ops_decoded_total",
-		"Trace ops decoded once into shared lockstep batch tables.",
-		func(e slicc.EngineStats) float64 { return float64(e.BatchOpsDecoded) })
-	engCounter("slicc_batch_ops_served_total",
-		"Instructions batched simulations executed from shared batch tables.",
-		func(e slicc.EngineStats) float64 { return float64(e.BatchOpsServed) })
-	engCounter("slicc_runner_op_stream_generator_passes_total",
+	if s.src.queue != nil {
+		snap.queue = s.src.queue()
+	}
+	snap.running, snap.pending = s.src.sweeps()
+	s.mu.Lock()
+	snap.sims, snap.sweeps = len(s.sims), len(s.sweeps)
+	s.mu.Unlock()
+	return snap
+}
+
+type sampled = telemetry.Sampled[snapshot]
+
+func counter(name, help string, value func(snapshot) float64, labels ...telemetry.Label) sampled {
+	return sampled{Name: name, Help: help, Counter: true, Labels: labels, Value: value}
+}
+
+func gauge(name, help string, value func(snapshot) float64, labels ...telemetry.Label) sampled {
+	return sampled{Name: name, Help: help, Labels: labels, Value: value}
+}
+
+// baseFamilies exist on every server: the engine's runner.Stats bridge,
+// then the server's own sweep table and clock.
+var baseFamilies = []sampled{
+	counter("slicc_sims_requested_total", "Simulations requested of the engine (executions + dedup hits + store hits).",
+		func(s snapshot) float64 { return float64(s.engine.SimsRequested) }),
+	counter("slicc_sims_executed_total", "Simulations actually executed (cache misses).",
+		func(s snapshot) float64 { return float64(s.engine.SimsExecuted) }),
+	counter("slicc_sims_remote_total", "Simulations dispatched to the distributed worker fleet.",
+		func(s snapshot) float64 { return float64(s.engine.SimsRemote) }),
+	counter("slicc_dedup_hits_total", "Simulations served by an identical in-process execution.",
+		func(s snapshot) float64 { return float64(s.engine.DedupHits) }),
+	counter("slicc_store_hits_total", "Simulations served from the persistent result store.",
+		func(s snapshot) float64 { return float64(s.engine.StoreHits) }),
+	counter("slicc_store_puts_total", "Executed results recorded into the persistent result store.",
+		func(s snapshot) float64 { return float64(s.engine.StorePuts) }),
+	counter("slicc_workloads_built_total", "Workload syntheses and trace opens (workload-cache misses).",
+		func(s snapshot) float64 { return float64(s.engine.WorkloadsBuilt) }),
+	counter("slicc_workload_hits_total", "Workload-cache hits.",
+		func(s snapshot) float64 { return float64(s.engine.WorkloadHits) }),
+	counter("slicc_instructions_simulated_total", "Instructions simulated across executed simulations.",
+		func(s snapshot) float64 { return float64(s.engine.InstructionsSimulated) }),
+	counter("slicc_sim_cells_batched_total", "Simulations that ran inside lockstep sweep batches.",
+		func(s snapshot) float64 { return float64(s.engine.CellsBatched) }),
+	counter("slicc_sim_batches_executed_total", "Lockstep batch passes executed.",
+		func(s snapshot) float64 { return float64(s.engine.BatchesExecuted) }),
+	counter("slicc_batch_ops_decoded_total", "Trace ops decoded once into shared lockstep batch tables.",
+		func(s snapshot) float64 { return float64(s.engine.BatchOpsDecoded) }),
+	counter("slicc_batch_ops_served_total", "Instructions batched simulations executed from shared batch tables.",
+		func(s snapshot) float64 { return float64(s.engine.BatchOpsServed) }),
+	counter("slicc_runner_op_stream_generator_passes_total",
 		"Thread op-stream generator runs started for simulations (one per thread of a workload its submission's jobs share).",
-		func(e slicc.EngineStats) float64 { return float64(e.OpStreamGeneratorPasses) })
-	engCounter("slicc_runner_op_streams_recorded_total",
-		"Thread op streams recorded in memory for later replays.",
-		func(e slicc.EngineStats) float64 { return float64(e.OpStreamsRecorded) })
-	engCounter("slicc_runner_machines_recycled_total",
+		func(s snapshot) float64 { return float64(s.engine.OpStreamGeneratorPasses) }),
+	counter("slicc_runner_op_streams_recorded_total", "Thread op streams recorded in memory for later replays.",
+		func(s snapshot) float64 { return float64(s.engine.OpStreamsRecorded) }),
+	counter("slicc_runner_machines_recycled_total",
 		"Executed simulations whose machine was built on recycled cache storage.",
-		func(e slicc.EngineStats) float64 { return float64(e.MachinesRecycled) })
+		func(s snapshot) float64 { return float64(s.engine.MachinesRecycled) }),
+	gauge("slicc_sweeps_running", "Sweeps currently executing.",
+		func(s snapshot) float64 { return float64(s.running) }),
+	gauge("slicc_sweep_cells_pending", "Result cells of running sweeps not yet completed (the sweep queue depth).",
+		func(s snapshot) float64 { return float64(s.pending) }),
+	gauge("slicc_uptime_seconds", "Seconds since the server started.",
+		func(s snapshot) float64 { return s.uptime }),
+}
 
-	if _, ok := eng.StoreStats(); ok {
-		reg.GaugeFunc("slicc_store_entries",
-			"Entry files in the persistent result store directory.",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.Entries) })
-		reg.GaugeFunc("slicc_store_bytes",
-			"Total size of the persistent result store's entry files.",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.Bytes) })
-		reg.CounterFunc("slicc_store_evictions_total",
-			"Disk store entries evicted under the -store-max-mb budget by this process.",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.DiskEvictions) })
-		// Memory-tier families are registered whenever a store exists and
-		// simply read zero while -store-mem-mb is off, so dashboards need
-		// no conditional wiring.
-		reg.GaugeFunc("slicc_store_mem_entries",
-			"Entries in the store's in-memory hot tier.",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.MemEntries) })
-		reg.GaugeFunc("slicc_store_mem_bytes",
-			"Bytes held by the store's in-memory hot tier.",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.MemBytes) })
-		reg.CounterFunc("slicc_store_mem_evictions_total",
-			"Memory-tier entries evicted under the -store-mem-mb budget.",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.MemEvictions) })
-		reg.CounterFunc("slicc_store_mem_hits_total",
-			"Store lookups served from the in-memory hot tier (no disk I/O).",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.MemHits) })
-		reg.CounterFunc("slicc_store_mem_misses_total",
-			"Store lookups that fell through the in-memory hot tier.",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.MemMisses) })
-		reg.CounterFunc("slicc_store_negative_hits_total",
-			"Store misses answered by the negative cache without touching disk.",
-			func() float64 { st, _ := eng.StoreStats(); return float64(st.NegativeHits) })
+// storeFamilies are registered whenever the engine has a store. The
+// memory-tier ones simply read zero while -store-mem-mb is off, so
+// dashboards need no conditional wiring.
+var storeFamilies = []sampled{
+	gauge("slicc_store_entries", "Entry files in the persistent result store directory.",
+		func(s snapshot) float64 { return float64(s.store.Entries) }),
+	gauge("slicc_store_bytes", "Total size of the persistent result store's entry files.",
+		func(s snapshot) float64 { return float64(s.store.Bytes) }),
+	counter("slicc_store_evictions_total", "Disk store entries evicted under the -store-max-mb budget by this process.",
+		func(s snapshot) float64 { return float64(s.store.DiskEvictions) }),
+	gauge("slicc_store_mem_entries", "Entries in the store's in-memory hot tier.",
+		func(s snapshot) float64 { return float64(s.store.MemEntries) }),
+	gauge("slicc_store_mem_bytes", "Bytes held by the store's in-memory hot tier.",
+		func(s snapshot) float64 { return float64(s.store.MemBytes) }),
+	counter("slicc_store_mem_evictions_total", "Memory-tier entries evicted under the -store-mem-mb budget.",
+		func(s snapshot) float64 { return float64(s.store.MemEvictions) }),
+	counter("slicc_store_mem_hits_total", "Store lookups served from the in-memory hot tier (no disk I/O).",
+		func(s snapshot) float64 { return float64(s.store.MemHits) }),
+	counter("slicc_store_mem_misses_total", "Store lookups that fell through the in-memory hot tier.",
+		func(s snapshot) float64 { return float64(s.store.MemMisses) }),
+	counter("slicc_store_negative_hits_total", "Store misses answered by the negative cache without touching disk.",
+		func(s snapshot) float64 { return float64(s.store.NegativeHits) }),
+}
+
+// registerMetrics wires the snapshot's sources and registers every sampled
+// family as one group over Server.snapshot: one scrape, one call per
+// source.
+func (s *Server) registerMetrics() {
+	s.src = sources{engine: s.eng.Stats, sweeps: s.sweepDepth}
+	fams := append([]sampled(nil), baseFamilies...)
+	if s.eng.StoreDir() != "" {
+		s.src.store = s.eng.StoreStats
+		fams = append(fams, storeFamilies...)
 	}
-
-	reg.GaugeFunc("slicc_sweeps_running",
-		"Sweeps currently executing.",
-		func() float64 { r, _ := s.sweepDepth(); return float64(r) })
-	reg.GaugeFunc("slicc_sweep_cells_pending",
-		"Result cells of running sweeps not yet completed (the sweep queue depth).",
-		func() float64 { _, p := s.sweepDepth(); return float64(p) })
-	reg.GaugeFunc("slicc_uptime_seconds",
-		"Seconds since the server started.",
-		func() float64 { return time.Since(s.start).Seconds() })
+	if q := s.opts.Queue; q != nil {
+		s.src.queue = q.Stats
+		fams = append(fams, queueFamilies...)
+	}
+	telemetry.SampleGroup(s.metrics.reg, s.snapshot, fams...)
 }
 
 // sweepDepth reports how many sweeps are running and how many of their

@@ -12,12 +12,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"slicc"
+	"slicc/internal/queue"
 	"slicc/internal/telemetry"
 	"slicc/internal/telemetry/telemetrytest"
 )
@@ -83,6 +87,148 @@ func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
 		t.Fatal(err)
 	}
 	return telemetrytest.ParsePrometheus(t, b.String())
+}
+
+// sourceCalls counts how often each source of Server.snapshot was asked.
+type sourceCalls struct{ engine, store, queue, sweeps atomic.Int64 }
+
+// countSources wraps srv's snapshot sources with call counters. Call it
+// before the server's first request.
+func countSources(srv *Server) *sourceCalls {
+	c, src := &sourceCalls{}, srv.src
+	srv.src.engine = func() slicc.EngineStats { c.engine.Add(1); return src.engine() }
+	srv.src.sweeps = func() (int, int) { c.sweeps.Add(1); return src.sweeps() }
+	if src.store != nil {
+		srv.src.store = func() (slicc.StoreStats, bool) { c.store.Add(1); return src.store() }
+	}
+	if src.queue != nil {
+		srv.src.queue = func() queue.Stats { c.queue.Add(1); return src.queue() }
+	}
+	return c
+}
+
+// stepped returns a T whose every numeric field is n: a source that moves
+// on each call, as a running pool's counters do.
+func stepped[T any](n int64) T {
+	var v T
+	rv := reflect.ValueOf(&v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Field(i); f.CanInt() {
+			f.SetInt(n)
+		} else {
+			f.SetUint(uint64(n))
+		}
+	}
+	return v
+}
+
+// TestOneSnapshotPerRead scripts every source to step on each call and
+// checks the one-snapshot contract on both read surfaces: the k-th read
+// asks each source for the k-th time, once, and every number it reports
+// from a source — all 37 sampled families of a scrape, all four blocks of
+// /v1/stats — comes from that one call.
+func TestOneSnapshotPerRead(t *testing.T) {
+	eng, err := slicc.NewEngine(slicc.EngineOptions{Workers: 1, StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	q, err := queue.Open(t.TempDir(), queue.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	srv := New(eng, Options{Queue: q})
+	defer srv.Close()
+	var calls sourceCalls
+	srv.src = sources{
+		engine: func() slicc.EngineStats { return stepped[slicc.EngineStats](calls.engine.Add(1)) },
+		store:  func() (slicc.StoreStats, bool) { return stepped[slicc.StoreStats](calls.store.Add(1)), true },
+		queue:  func() queue.Stats { return stepped[queue.Stats](calls.queue.Add(1)) },
+		sweeps: func() (int, int) { n := int(calls.sweeps.Add(1)); return n, n },
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for read := int64(1); read <= 6; read++ {
+		if read%2 == 1 {
+			got := scrape(t, ts)
+			for _, fams := range [][]sampled{baseFamilies, storeFamilies, queueFamilies} {
+				for _, f := range fams {
+					key := f.Name
+					if key == "slicc_uptime_seconds" {
+						continue // the server's clock, not a source
+					}
+					if len(f.Labels) == 1 {
+						key += `{` + f.Labels[0].Name + `="` + f.Labels[0].Value + `"}`
+					}
+					if v, ok := got[key]; !ok || v != float64(read) {
+						t.Errorf("read %d: %s = %v (present %v), want the value of source call %d", read, key, v, ok, read)
+					}
+				}
+			}
+			continue
+		}
+		r, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := decode[statsResponse](t, r)
+		if got.Engine != stepped[slicc.EngineStats](read) || *got.Store != stepped[storeStatsBody](read) ||
+			*got.Queue != stepped[queueStatsBody](read) || got.SweepsRunning != int(read) || got.SweepCellsPending != int(read) {
+			t.Errorf("read %d: /v1/stats mixes source calls: %+v store %+v queue %+v", read, got, *got.Store, *got.Queue)
+		}
+	}
+	for name, c := range map[string]*atomic.Int64{"engine": &calls.engine, "store": &calls.store, "queue": &calls.queue, "sweeps": &calls.sweeps} {
+		if got := c.Load(); got != 6 {
+			t.Errorf("6 reads asked the %s source %d times", name, got)
+		}
+	}
+}
+
+// TestQuiescentStoreReadsDoNotListIt: with an aged, unchanged store
+// directory, any number of scrapes and /v1/stats requests share the one
+// listing the first of them took. Seen from outside the store package by
+// forging: a decoy entry is added and the directory's mtime put back, so
+// any listing would report it — and does, once the mtime moves.
+func TestQuiescentStoreReadsDoNotListIt(t *testing.T) {
+	dir := t.TempDir()
+	ts, _, _ := newTelemetryServer(t, dir)
+	if _, err := http.Post(ts.URL+"/v1/simulations?wait=1", "application/json", strings.NewReader(tinyBody)); err != nil {
+		t.Fatal(err)
+	}
+	entries := func() (stats int, metrics float64) {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode[statsResponse](t, r).Store.Entries, scrape(t, ts)["slicc_store_entries"]
+	}
+	setMtime := func(at time.Time) {
+		t.Helper()
+		if err := os.Chtimes(dir, at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aged := time.Now().Add(-time.Hour)
+	setMtime(aged)
+	if s, m := entries(); s != 1 || m != 1 {
+		t.Fatalf("entries after one simulation: /v1/stats %d, /metrics %v", s, m)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "decoy.sre"), []byte("x"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	setMtime(aged)
+	for i := 0; i < 10; i++ {
+		if s, m := entries(); s != 1 || m != 1 {
+			t.Fatalf("read %d listed the unchanged-looking directory: /v1/stats %d, /metrics %v", i, s, m)
+		}
+	}
+	setMtime(aged.Add(time.Minute))
+	if s, m := entries(); s != 2 || m != 2 {
+		t.Fatalf("entries after the directory's mtime moved: /v1/stats %d, /metrics %v, want 2", s, m)
+	}
 }
 
 // TestMetricsAfterSweep runs a real sweep through the API and checks the
@@ -311,7 +457,9 @@ func TestHealthzReadiness(t *testing.T) {
 // while a streaming sweep runs and an SSE subscriber drains its events —
 // the registry-race test at the service level (meaningful under -race).
 func TestMetricsDuringStreamingSweep(t *testing.T) {
-	ts, _, _ := newTelemetryServer(t, "")
+	ts, srv, _ := newTelemetryServer(t, "")
+	calls := countSources(srv)
+	var scrapes atomic.Int64
 
 	r, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tinySweepBody))
 	if err != nil {
@@ -331,6 +479,7 @@ func TestMetricsDuringStreamingSweep(t *testing.T) {
 					return
 				default:
 					scrape(t, ts)
+					scrapes.Add(1)
 				}
 			}
 		}()
@@ -361,6 +510,12 @@ func TestMetricsDuringStreamingSweep(t *testing.T) {
 	wg.Wait()
 
 	final := scrape(t, ts)
+	// However the scrapes interleaved with the running pool, each asked
+	// every source exactly once (this server has no store and no queue).
+	if n := scrapes.Load() + 1; calls.engine.Load() != n || calls.sweeps.Load() != n || calls.store.Load()+calls.queue.Load() != 0 {
+		t.Errorf("%d scrapes sampled engine %d times, sweeps %d times, store %d, queue %d",
+			n, calls.engine.Load(), calls.sweeps.Load(), calls.store.Load(), calls.queue.Load())
+	}
 	if final["slicc_sweep_cells_completed_total"] != 4 {
 		t.Fatalf("cells completed %v", final["slicc_sweep_cells_completed_total"])
 	}

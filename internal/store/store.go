@@ -58,6 +58,33 @@
 // cross-process staleness is about *existence* (another process's Delete
 // or eviction is not seen by a key already cached here), which is benign
 // and documented on Get.
+//
+// # Stats
+//
+// Stats reports the directory's entry count and total bytes without
+// listing it when nothing has changed. Every change to the entry set moves
+// the directory's mtime — link/rename in Put, unlink in Delete and
+// eviction, and the same calls made by any other process sharing the
+// directory — while Get's LRU touch changes an entry file's mtime, not the
+// directory's, and a queue kept in a subdirectory churns only that
+// subdirectory. So Stats stats the directory: an mtime equal to the one its
+// last listing was taken under returns that listing's numbers; anything
+// else lists again. Tier counters are always read live.
+//
+// A listing is remembered only if the directory's mtime is the same before
+// and after it and was already more than statsRacyWindow (2 s) old when the
+// listing started. That is git's "racily clean" rule: a write after the
+// listing can then never land on the remembered timestamp on a filesystem
+// whose mtime granularity is 2 s or finer, so a remembered listing is never
+// wrong about the entry set. Consequences and limits:
+//
+//   - While the directory is being written (and for 2 s after the last
+//     write) every Stats call lists, exactly as before.
+//   - Another process truncating an entry in place changes Bytes without
+//     moving the directory's mtime. Benign: such an entry already reads as
+//     a miss, and the next change to the entry set corrects the number.
+//   - On NFS the mtime Stats sees is as fresh as the client's
+//     directory-attribute cache, and so are the numbers.
 package store
 
 import (
@@ -89,6 +116,12 @@ const (
 	headerFixed = 4 + 4 + 8 + 32 + 2 // magic + version + plen + sum + klen
 	maxKeyLen   = 4096
 )
+
+// statsRacyWindow is how old the directory's mtime must be, when a listing
+// starts, for Stats to remember the listing: longer than the coarsest mtime
+// granularity in use (FAT's 2 s), so no later write can reuse the
+// remembered timestamp. A property of filesystems, not a setting.
+const statsRacyWindow = 2 * time.Second
 
 // Options configures a store.
 type Options struct {
@@ -130,6 +163,19 @@ type Store struct {
 	// mem is the optional in-memory hot tier (nil when Options.MemBytes
 	// is zero).
 	mem *memTier
+
+	// usage is the last directory listing Stats took that met the
+	// remembering rule (package docs, "Stats"); usageMtime is the directory
+	// mtime it is valid for, zero when nothing is remembered. usageMu also
+	// serializes the listing itself, so concurrent Stats calls share one.
+	usageMu      sync.Mutex
+	usageMtime   time.Time
+	usageEntries int
+	usageBytes   int64
+
+	// listings counts directory listings (os.ReadDir of the store
+	// directory); tests read it to show a quiescent store is not walked.
+	listings atomic.Int64
 
 	closed atomic.Bool
 }
@@ -421,14 +467,31 @@ func (s *Store) Delete(key string) error {
 	return nil
 }
 
-// Stats scans the directory and reports entry count and total size, plus
-// this Store's process-local tier counters.
+// Stats reports the directory's entry count and total size, plus this
+// Store's process-local tier counters. An unchanged directory costs one
+// stat(2): the last listing is reused while the directory's mtime still
+// equals the one it was taken under (package docs, "Stats"); a changed or
+// recently written directory is listed, O(entries).
 func (s *Store) Stats() (Stats, error) {
 	st := Stats{DiskEvictions: s.evictions.Load()}
 	if s.mem != nil {
 		s.mem.addStats(&st)
 	}
-	err := s.scanFiles(func(path string, de fs.DirEntry) error {
+	if s.isClosed() {
+		return st, errors.New("store: closed")
+	}
+	s.usageMu.Lock()
+	defer s.usageMu.Unlock()
+	before, err := dirMtime(s.dir)
+	if err != nil {
+		return st, err
+	}
+	if !s.usageMtime.IsZero() && s.usageMtime.Equal(before) {
+		st.Entries, st.Bytes = s.usageEntries, s.usageBytes
+		return st, nil
+	}
+	started := time.Now()
+	err = s.scanFiles(func(path string, de fs.DirEntry) error {
 		info, err := de.Info()
 		if err != nil {
 			return nil // racing eviction; skip
@@ -437,7 +500,22 @@ func (s *Store) Stats() (Stats, error) {
 		st.Bytes += info.Size()
 		return nil
 	})
-	return st, err
+	if err != nil {
+		return st, err
+	}
+	s.usageMtime = time.Time{}
+	if after, err := dirMtime(s.dir); err == nil && after.Equal(before) && started.Sub(before) > statsRacyWindow {
+		s.usageMtime, s.usageEntries, s.usageBytes = before, st.Entries, st.Bytes
+	}
+	return st, nil
+}
+
+func dirMtime(dir string) (time.Time, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return time.Time{}, fmt.Errorf("store: %w", err)
+	}
+	return fi.ModTime(), nil
 }
 
 // Scan walks every valid entry in the store and reports its logical key,
@@ -463,6 +541,7 @@ func (s *Store) scanFiles(fn func(path string, de fs.DirEntry) error) error {
 	if s.isClosed() {
 		return errors.New("store: closed")
 	}
+	s.listings.Add(1)
 	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)

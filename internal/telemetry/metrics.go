@@ -4,8 +4,9 @@
 //
 // The repo is stdlib-only by design, so this package reimplements the
 // small slice of the Prometheus client it needs instead of importing it:
-// atomic counters and gauges, fixed-bucket histograms, callback-sampled
-// metrics for bridging existing counters (runner.Stats, store.Stats), and
+// atomic counters and gauges, fixed-bucket histograms, sample groups for
+// bridging counters kept elsewhere (runner.Stats, store.Stats: one
+// snapshot call per scrape, every series projected from it), and
 // text-format exposition. The exposition is deterministic — families and
 // series are emitted in sorted order — so golden tests can diff it.
 //
@@ -146,9 +147,30 @@ type series struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	// sample, when set, is called at scrape time instead of reading a
-	// stored value (CounterFunc/GaugeFunc bridges).
-	sample func() float64
+	// sample, when set, makes this a sampled series (SampleGroup): its
+	// value is projected from its group's snapshot for the scrape being
+	// rendered, instead of read from a stored value.
+	sample func(scrape) float64
+}
+
+// group is one SampleGroup registration: the call every series of the
+// group is projected from.
+type group struct {
+	snapshot func() any
+}
+
+// scrape holds the group snapshots of one exposition: each is taken when
+// the first series of its group is rendered and kept for that exposition
+// only, so concurrent scrapes never share one.
+type scrape map[*group]any
+
+func (sc scrape) snapshot(g *group) any {
+	snap, ok := sc[g]
+	if !ok {
+		snap = g.snapshot()
+		sc[g] = snap
+	}
+	return snap
 }
 
 // family is one named metric with its help text, type, and series.
@@ -176,7 +198,9 @@ func NewRegistry() *Registry {
 // lookup returns (creating as needed) the series for name+labels,
 // verifying type/help consistency. It panics on a name registered twice
 // with conflicting type — always a programming error worth failing loud.
-func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []Label) *series {
+// A non-nil sample creates a sampled series, which must not exist yet: two
+// sources for one series is the same kind of error.
+func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []Label, sample func(scrape) float64) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -188,8 +212,11 @@ func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []La
 	}
 	sig := labelSignature(labels)
 	s, ok := f.series[sig]
+	if ok && sample != nil {
+		panic(fmt.Sprintf("telemetry: sampled series %s%s registered twice", name, labelString(labels)))
+	}
 	if !ok {
-		s = &series{labels: append([]Label(nil), labels...), sig: sig}
+		s = &series{labels: append([]Label(nil), labels...), sig: sig, sample: sample}
 		switch typ {
 		case typeCounter:
 			s.counter = &Counter{}
@@ -207,12 +234,12 @@ func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []La
 // use. Repeated calls with the same name and labels return the same
 // counter, so call sites may look metrics up per event.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(name, help, typeCounter, nil, labels).counter
+	return r.lookup(name, help, typeCounter, nil, labels, nil).counter
 }
 
 // Gauge returns the gauge for name+labels, registering it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, help, typeGauge, nil, labels).gauge
+	return r.lookup(name, help, typeGauge, nil, labels, nil).gauge
 }
 
 // Histogram returns the histogram for name+labels, registering it on
@@ -222,20 +249,37 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	return r.lookup(name, help, typeHistogram, buckets, labels).hist
+	return r.lookup(name, help, typeHistogram, buckets, labels, nil).hist
 }
 
-// CounterFunc registers a counter whose value is sampled by fn at scrape
-// time — the bridge for pre-existing monotonic counters (engine stats,
-// store evictions) that are maintained elsewhere.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.lookup(name, help, typeCounter, nil, labels).sample = fn
+// Sampled is one series of a SampleGroup: a counter or gauge whose value
+// is projected from the group's snapshot at scrape time — the bridge for
+// numbers maintained elsewhere (engine stats, store occupancy, queue
+// depth).
+type Sampled[S any] struct {
+	Name, Help string
+	// Counter exposes the series as TYPE counter (the source must be
+	// monotonic); false is a gauge.
+	Counter bool
+	Labels  []Label
+	Value   func(S) float64
 }
 
-// GaugeFunc registers a gauge sampled by fn at scrape time (store entry
-// counts, queue depths, uptime).
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.lookup(name, help, typeGauge, nil, labels).sample = fn
+// SampleGroup registers series that all read one snapshot: each
+// WritePrometheus calls snapshot once and projects every series of the
+// group from that one value, so a scrape costs one call per source however
+// many families it feeds, and the families of one exposition describe one
+// instant. snapshot is called from scraping goroutines, concurrently if
+// scrapes overlap.
+func SampleGroup[S any](r *Registry, snapshot func() S, series ...Sampled[S]) {
+	g := &group{snapshot: func() any { return snapshot() }}
+	for _, sd := range series {
+		typ := typeGauge
+		if sd.Counter {
+			typ = typeCounter
+		}
+		r.lookup(sd.Name, sd.Help, typ, nil, sd.Labels, func(sc scrape) float64 { return sd.Value(sc.snapshot(g).(S)) })
+	}
 }
 
 // WritePrometheus renders every family in text exposition format, sorted
@@ -249,6 +293,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
+	sc := make(scrape)
 	var b strings.Builder
 	for _, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
@@ -261,17 +306,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		r.mu.Unlock()
 		sort.Slice(sers, func(i, j int) bool { return sers[i].sig < sers[j].sig })
 		for _, s := range sers {
-			writeSeries(&b, f, s)
+			writeSeries(&b, f, s, sc)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-func writeSeries(b *strings.Builder, f *family, s *series) {
+func writeSeries(b *strings.Builder, f *family, s *series, sc scrape) {
 	switch {
 	case s.sample != nil:
-		fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(s.labels), formatFloat(s.sample()))
+		fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(s.labels), formatFloat(s.sample(sc)))
 	case s.counter != nil:
 		fmt.Fprintf(b, "%s%s %d\n", f.name, labelString(s.labels), s.counter.Value())
 	case s.gauge != nil:

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,7 +58,8 @@ func TestExpositionGolden(t *testing.T) {
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
-	r.GaugeFunc("slicc_entries", "entries", func() float64 { return 7 })
+	SampleGroup(r, func() float64 { return 7 },
+		Sampled[float64]{Name: "slicc_entries", Help: "entries", Value: func(v float64) float64 { return v }})
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
@@ -90,6 +92,62 @@ slicc_reqs_total{route="/metrics",code="200"} 1
 	if b.String() != b2.String() {
 		t.Fatal("exposition not deterministic across renders")
 	}
+}
+
+// TestSampleGroupOneSnapshotPerScrape: a group's source is called once per
+// exposition however many series read it, every series of one exposition
+// is projected from that one call, and concurrent scrapes never mix calls.
+func TestSampleGroupOneSnapshotPerScrape(t *testing.T) {
+	r := NewRegistry()
+	var calls atomic.Int64
+	id := func(call int64) float64 { return float64(call) }
+	SampleGroup(r, func() int64 { return calls.Add(1) },
+		Sampled[int64]{Name: "slicc_a_total", Help: "a", Counter: true, Value: id},
+		Sampled[int64]{Name: "slicc_b", Help: "b", Value: id, Labels: []Label{L("state", "x")}},
+		Sampled[int64]{Name: "slicc_b", Help: "b", Value: id, Labels: []Label{L("state", "y")}},
+		Sampled[int64]{Name: "slicc_z", Help: "z", Value: id})
+	r.Counter("slicc_m_total", "a stored counter between the sampled ones").Inc()
+
+	scrape := func() map[string]float64 {
+		var b bytes.Buffer
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Error(err)
+		}
+		return telemetrytest.ParsePrometheus(t, b.String())
+	}
+	const scrapers, each = 4, 25
+	var wg sync.WaitGroup
+	for i := 0; i < scrapers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				got := scrape()
+				call := got["slicc_a_total"]
+				for _, k := range []string{`slicc_b{state="x"}`, `slicc_b{state="y"}`, "slicc_z"} {
+					if got[k] != call {
+						t.Errorf("one exposition mixes snapshot calls: slicc_a_total from call %v, %s from call %v", call, k, got[k])
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := calls.Load(); got != scrapers*each {
+		t.Fatalf("%d scrapes called the group's source %d times", scrapers*each, got)
+	}
+	var b bytes.Buffer
+	r.WritePrometheus(&b)
+	if out := b.String(); !strings.Contains(out, "# TYPE slicc_a_total counter\n") || !strings.Contains(out, "# TYPE slicc_z gauge\n") {
+		t.Fatalf("sampled series lost their types:\n%s", out)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second source for an existing sampled series did not panic")
+		}
+	}()
+	SampleGroup(r, func() int64 { return 0 }, Sampled[int64]{Name: "slicc_z", Help: "z", Value: id})
 }
 
 func TestLabelEscaping(t *testing.T) {
