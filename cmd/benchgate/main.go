@@ -34,6 +34,10 @@
 // -min-stats-speedup holds store.Stats on an unchanged directory (one
 // stat) at N times cheaper than the listing it replaces
 // (store.BenchmarkStats quiescent vs scanning, 512 entries).
+// -min-decode-speedup holds a stored result decoded by the result memo's
+// primed gob decoder at N times cheaper than by a fresh decoder, which
+// compiles the result's type graph again (runner.BenchmarkStoredDecode
+// primed vs fresh, one real entry).
 // -max-tiny-fixed-share is a host-independent ceiling rather than a ratio
 // of two series: runner.BenchmarkTinyCell reports the share of a tiny
 // cell's wall-clock spent outside the simulation loop (workload and machine
@@ -62,18 +66,18 @@ import (
 )
 
 func main() {
-	var (
-		baseline = flag.String("baseline", "BENCH_SIM.json", "comma-separated benchmark trajectory file(s) holding the recorded baselines")
-		tol      = flag.Float64("tolerance", 0.35, "allowed fractional shortfall vs a recorded rate (0.35 = fail below 65%)")
-		timeTol  = flag.Float64("time-tolerance", 4.0, "allowed fractional slowdown vs a recorded ns/op (4.0 = fail above 5x)")
-		minRatio = flag.Float64("min-batch-ratio", 0, "minimum BenchmarkSweepBatch batched/scalar rate ratio (0 disables)")
-		minWarm  = flag.Float64("min-warm-speedup", 0, "minimum BenchmarkStoreColdRun/BenchmarkStoreWarmRun ns/op ratio (0 disables)")
-		minMem   = flag.Float64("min-mem-speedup", 0, "minimum BenchmarkGetHit/BenchmarkGetHitMem ns/op ratio — disk vs memory-tier store hit (0 disables)")
-		minResp  = flag.Float64("min-respcache-speedup", 0, "minimum BenchmarkServerWarmGet uncached/cached and uncached/notmodified ns/op ratios (0 disables)")
-		minStats = flag.Float64("min-stats-speedup", 0, "minimum BenchmarkStats scanning/quiescent ns/op ratio — store.Stats listing the directory vs reusing its last listing (0 disables)")
-		maxFixed = flag.Float64("max-tiny-fixed-share", 0, "maximum BenchmarkTinyCell fixed_share — the share of a tiny cell's wall-clock spent outside Machine.RunContext (0 disables)")
-		minRuns  = flag.Float64("min-run-share", 0, "minimum BenchmarkMachineRun/base run_share — the share of instructions retired in quiet runs (0 disables)")
-	)
+	var g gates
+	baseline := flag.String("baseline", "BENCH_SIM.json", "comma-separated benchmark trajectory file(s) holding the recorded baselines")
+	flag.Float64Var(&g.tol, "tolerance", 0.35, "allowed fractional shortfall vs a recorded rate (0.35 = fail below 65%)")
+	flag.Float64Var(&g.timeTol, "time-tolerance", 4.0, "allowed fractional slowdown vs a recorded ns/op (4.0 = fail above 5x)")
+	flag.Float64Var(&g.minBatchRatio, "min-batch-ratio", 0, "minimum BenchmarkSweepBatch batched/scalar rate ratio (0 disables)")
+	flag.Float64Var(&g.minWarmSpeedup, "min-warm-speedup", 0, "minimum BenchmarkStoreColdRun/BenchmarkStoreWarmRun ns/op ratio (0 disables)")
+	flag.Float64Var(&g.minMemSpeedup, "min-mem-speedup", 0, "minimum BenchmarkGetHit/BenchmarkGetHitMem ns/op ratio — disk vs memory-tier store hit (0 disables)")
+	flag.Float64Var(&g.minRespSpeedup, "min-respcache-speedup", 0, "minimum BenchmarkServerWarmGet uncached/cached and uncached/notmodified ns/op ratios (0 disables)")
+	flag.Float64Var(&g.minStatsSpeedup, "min-stats-speedup", 0, "minimum BenchmarkStats scanning/quiescent ns/op ratio — store.Stats listing the directory vs reusing its last listing (0 disables)")
+	flag.Float64Var(&g.minDecodeSpeedup, "min-decode-speedup", 0, "minimum BenchmarkStoredDecode fresh/primed ns/op ratio — a stored result decoded by a fresh gob decoder vs the memo's primed one (0 disables)")
+	flag.Float64Var(&g.maxTinyFixedShare, "max-tiny-fixed-share", 0, "maximum BenchmarkTinyCell fixed_share — the share of a tiny cell's wall-clock spent outside Machine.RunContext (0 disables)")
+	flag.Float64Var(&g.minRunShare, "min-run-share", 0, "minimum BenchmarkMachineRun/base run_share — the share of instructions retired in quiet runs (0 disables)")
 	flag.Parse()
 
 	floors := map[string]benchResult{}
@@ -97,7 +101,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results on stdin")
 		os.Exit(2)
 	}
-	failures := gate(os.Stdout, results, floors, *tol, *timeTol, *minRatio, *minWarm, *minMem, *minResp, *minStats, *maxFixed, *minRuns)
+	failures := gate(os.Stdout, results, floors, g)
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) below floor\n", failures)
 		os.Exit(1)
@@ -226,10 +230,25 @@ func num(v float64) string {
 	return fmt.Sprintf("%.0f", v)
 }
 
+// gates holds one benchgate run's thresholds, one field per flag: the two
+// tolerances against recorded floors, then the host-independent checks,
+// each disabled at 0.
+type gates struct {
+	tol, timeTol      float64
+	minBatchRatio     float64
+	minWarmSpeedup    float64
+	minMemSpeedup     float64
+	minRespSpeedup    float64
+	minStatsSpeedup   float64
+	minDecodeSpeedup  float64
+	maxTinyFixedShare float64
+	minRunShare       float64
+}
+
 // gate prints a verdict table and returns the failure count. Benchmarks
 // with no recorded baseline pass (reported as such); the host-independent
-// ratio checks run when their flags are > 0.
-func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, minRatio, minWarm, minMem, minResp, minStats, maxFixed, minRunShare float64) int {
+// ratio checks run when their thresholds are > 0.
+func gate(w io.Writer, results, floors map[string]benchResult, g gates) int {
 	failures := 0
 	names := make([]string, 0, len(results))
 	for name := range results {
@@ -249,83 +268,87 @@ func gate(w io.Writer, results, floors map[string]benchResult, tol, timeTol, min
 				continue
 			}
 			if units[unit].higherBetter {
-				floor := base * (1 - tol)
+				floor := base * (1 - g.tol)
 				if got < floor {
 					failures++
 					fmt.Fprintf(w, "FAIL  %s  %s %s < floor %s (recorded %s, tolerance %.0f%%)\n",
-						name, num(got), unit, num(floor), num(base), tol*100)
+						name, num(got), unit, num(floor), num(base), g.tol*100)
 				} else {
 					fmt.Fprintf(w, "PASS  %s  %s %s (floor %s)\n", name, num(got), unit, num(floor))
 				}
 			} else {
-				ceiling := base * (1 + timeTol)
+				ceiling := base * (1 + g.timeTol)
 				if got > ceiling {
 					failures++
 					fmt.Fprintf(w, "FAIL  %s  %s %s > ceiling %s (recorded %s, tolerance %.0fx)\n",
-						name, num(got), unit, num(ceiling), num(base), 1+timeTol)
+						name, num(got), unit, num(ceiling), num(base), 1+g.timeTol)
 				} else {
 					fmt.Fprintf(w, "PASS  %s  %s %s (ceiling %s)\n", name, num(got), unit, num(ceiling))
 				}
 			}
 		}
 	}
-	if minRatio > 0 {
+	if g.minBatchRatio > 0 {
 		b, okB := results["BenchmarkSweepBatch/batched"]["cells/s"]
 		s, okS := results["BenchmarkSweepBatch/scalar"]["cells/s"]
 		switch {
 		case !okB || !okS:
 			failures++
 			fmt.Fprintf(w, "FAIL  batched/scalar ratio: BenchmarkSweepBatch series missing from input\n")
-		case b < s*minRatio:
+		case b < s*g.minBatchRatio:
 			failures++
 			fmt.Fprintf(w, "FAIL  batched/scalar ratio %.2f < %.2f (batched %.3f, scalar %.3f cells/s)\n",
-				b/s, minRatio, b, s)
+				b/s, g.minBatchRatio, b, s)
 		default:
-			fmt.Fprintf(w, "PASS  batched/scalar ratio %.2f (>= %.2f)\n", b/s, minRatio)
+			fmt.Fprintf(w, "PASS  batched/scalar ratio %.2f (>= %.2f)\n", b/s, g.minBatchRatio)
 		}
 	}
-	if minWarm > 0 {
+	if g.minWarmSpeedup > 0 {
 		failures += speedup(w, results, "warm-store",
-			"BenchmarkStoreColdRun", "BenchmarkStoreWarmRun", minWarm)
+			"BenchmarkStoreColdRun", "BenchmarkStoreWarmRun", g.minWarmSpeedup)
 	}
-	if minMem > 0 {
+	if g.minMemSpeedup > 0 {
 		failures += speedup(w, results, "mem-tier hit",
-			"BenchmarkGetHit", "BenchmarkGetHitMem", minMem)
+			"BenchmarkGetHit", "BenchmarkGetHitMem", g.minMemSpeedup)
 	}
-	if minResp > 0 {
+	if g.minRespSpeedup > 0 {
 		failures += speedup(w, results, "response-cache",
-			"BenchmarkServerWarmGet/uncached", "BenchmarkServerWarmGet/cached", minResp)
+			"BenchmarkServerWarmGet/uncached", "BenchmarkServerWarmGet/cached", g.minRespSpeedup)
 		failures += speedup(w, results, "not-modified",
-			"BenchmarkServerWarmGet/uncached", "BenchmarkServerWarmGet/notmodified", minResp)
+			"BenchmarkServerWarmGet/uncached", "BenchmarkServerWarmGet/notmodified", g.minRespSpeedup)
 	}
-	if minStats > 0 {
+	if g.minStatsSpeedup > 0 {
 		failures += speedup(w, results, "quiescent stats",
-			"BenchmarkStats/scanning", "BenchmarkStats/quiescent", minStats)
+			"BenchmarkStats/scanning", "BenchmarkStats/quiescent", g.minStatsSpeedup)
 	}
-	if maxFixed > 0 {
+	if g.minDecodeSpeedup > 0 {
+		failures += speedup(w, results, "primed decode",
+			"BenchmarkStoredDecode/fresh", "BenchmarkStoredDecode/primed", g.minDecodeSpeedup)
+	}
+	if g.maxTinyFixedShare > 0 {
 		share, ok := results["BenchmarkTinyCell"]["fixed_share"]
 		switch {
 		case !ok:
 			failures++
 			fmt.Fprintf(w, "FAIL  tiny-cell fixed share: BenchmarkTinyCell missing from input\n")
-		case share > maxFixed:
+		case share > g.maxTinyFixedShare:
 			failures++
-			fmt.Fprintf(w, "FAIL  tiny-cell fixed share %.3f > %.3f\n", share, maxFixed)
+			fmt.Fprintf(w, "FAIL  tiny-cell fixed share %.3f > %.3f\n", share, g.maxTinyFixedShare)
 		default:
-			fmt.Fprintf(w, "PASS  tiny-cell fixed share %.3f (<= %.3f)\n", share, maxFixed)
+			fmt.Fprintf(w, "PASS  tiny-cell fixed share %.3f (<= %.3f)\n", share, g.maxTinyFixedShare)
 		}
 	}
-	if minRunShare > 0 {
+	if g.minRunShare > 0 {
 		share, ok := results["BenchmarkMachineRun/base"]["run_share"]
 		switch {
 		case !ok:
 			failures++
 			fmt.Fprintf(w, "FAIL  quiet-run share: BenchmarkMachineRun/base missing from input\n")
-		case share < minRunShare:
+		case share < g.minRunShare:
 			failures++
-			fmt.Fprintf(w, "FAIL  quiet-run share %.3f < %.3f\n", share, minRunShare)
+			fmt.Fprintf(w, "FAIL  quiet-run share %.3f < %.3f\n", share, g.minRunShare)
 		default:
-			fmt.Fprintf(w, "PASS  quiet-run share %.3f (>= %.3f)\n", share, minRunShare)
+			fmt.Fprintf(w, "PASS  quiet-run share %.3f (>= %.3f)\n", share, g.minRunShare)
 		}
 	}
 	return failures

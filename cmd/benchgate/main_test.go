@@ -53,6 +53,10 @@ BenchmarkServerWarmGet/uncached-16     	   80000	     14832 ns/op	    9321 B/op	
 BenchmarkServerWarmGet/cached-16       	  400000	      2716 ns/op	    1544 B/op	      18 allocs/op
 BenchmarkServerWarmGet/notmodified-16  	  500000	      2231 ns/op	    1322 B/op	      16 allocs/op
 PASS
+pkg: slicc/internal/runner
+BenchmarkStoredDecode/fresh-2          	   16104	     69810 ns/op	   21256 B/op	     456 allocs/op
+BenchmarkStoredDecode/primed-2         	  326644	      3837 ns/op	    1244 B/op	       9 allocs/op
+PASS
 `
 
 const sampleStoreBaseline = `{
@@ -147,14 +151,14 @@ func TestGate(t *testing.T) {
 	floors := loadFloors(t, sampleBaseline)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minBatchRatio: 0.75}); n != 0 {
 		t.Fatalf("clean run failed %d gate(s):\n%s", n, out.String())
 	}
 
 	// A collapsed rate must fail: drop base to half its floor-with-tolerance.
 	results["BenchmarkMachineRun/base"]["instr/s"] = 15421476 * 0.3
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0}); n != 1 {
 		t.Fatalf("regressed run reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -163,7 +167,7 @@ func TestGate(t *testing.T) {
 	results["BenchmarkMachineRun/base"]["instr/s"] = 15421476
 	results["BenchmarkMachineRun/base"]["ns/op"] = 221508045 * 6
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0}); n != 1 {
 		t.Fatalf("slow run reported %d failures, want 1:\n%s", n, out.String())
 	}
 	results["BenchmarkMachineRun/base"]["ns/op"] = 221508045
@@ -172,7 +176,7 @@ func TestGate(t *testing.T) {
 	// even when its absolute floor (with tolerance) still passes.
 	results["BenchmarkSweepBatch/batched"]["cells/s"] = 5.637 * 0.70
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minBatchRatio: 0.75}); n != 1 {
 		t.Fatalf("batch-ratio regression reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -180,7 +184,7 @@ func TestGate(t *testing.T) {
 	delete(floors, "BenchmarkSweepBatch/batched")
 	results["BenchmarkSweepBatch/batched"]["cells/s"] = 5.998
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0.75, 0, 0, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minBatchRatio: 0.75}); n != 0 {
 		t.Fatalf("unknown benchmark failed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "no recorded floor") {
@@ -193,7 +197,7 @@ func TestGateWarmSpeedup(t *testing.T) {
 	floors := loadFloors(t, sampleStoreBaseline)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 20, 0, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minWarmSpeedup: 20}); n != 0 {
 		t.Fatalf("clean store run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "warm-store speedup") {
@@ -205,14 +209,14 @@ func TestGateWarmSpeedup(t *testing.T) {
 	// with their generous host tolerance, could still pass.
 	results["BenchmarkStoreWarmRun"]["ns/op"] = results["BenchmarkStoreColdRun"]["ns/op"] / 10
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minWarmSpeedup: 20}); n != 1 {
 		t.Fatalf("degraded warm run reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing series is a failure, not a silent pass.
 	delete(results, "BenchmarkStoreWarmRun")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 20, 0, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minWarmSpeedup: 20}); n != 1 {
 		t.Fatalf("missing warm series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
@@ -223,7 +227,7 @@ func TestGateMemSpeedup(t *testing.T) {
 
 	// Sample: disk hit 8921 ns vs mem hit 121 ns, ~74x — passes >= 5x.
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 5, 0, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minMemSpeedup: 5}); n != 0 {
 		t.Fatalf("clean mem-tier run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "mem-tier hit speedup") {
@@ -234,14 +238,14 @@ func TestGateMemSpeedup(t *testing.T) {
 	// even though its absolute time would pass any host tolerance.
 	results["BenchmarkGetHitMem"]["ns/op"] = results["BenchmarkGetHit"]["ns/op"] * 0.5
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minMemSpeedup: 5}); n != 1 {
 		t.Fatalf("degraded mem tier reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing series fails loudly.
 	delete(results, "BenchmarkGetHitMem")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 5, 0, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minMemSpeedup: 5}); n != 1 {
 		t.Fatalf("missing mem series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
@@ -252,7 +256,7 @@ func TestGateStatsSpeedup(t *testing.T) {
 
 	// Sample: a 512-entry listing 1178546 ns vs one stat 873 ns, 1350x.
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 20, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minStatsSpeedup: 20}); n != 0 {
 		t.Fatalf("clean stats run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "quiescent stats speedup") {
@@ -263,15 +267,43 @@ func TestGateStatsSpeedup(t *testing.T) {
 	// though a millisecond would pass any host's absolute tolerance.
 	results["BenchmarkStats/quiescent"]["ns/op"] = results["BenchmarkStats/scanning"]["ns/op"]
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 0, 20, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minStatsSpeedup: 20}); n != 1 {
 		t.Fatalf("quiescent Stats at listing cost reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing series fails loudly.
 	delete(results, "BenchmarkStats/scanning")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 0, 20, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minStatsSpeedup: 20}); n != 1 {
 		t.Fatalf("missing stats series reported %d failures, want 1:\n%s", n, out.String())
+	}
+}
+
+func TestGateDecodeSpeedup(t *testing.T) {
+	results, _ := parseBench(strings.NewReader(sampleStoreBench))
+	floors := loadFloors(t, sampleStoreBaseline)
+
+	// Sample: a fresh decode 69810 ns vs a primed one 3837 ns, 18x.
+	var out strings.Builder
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minDecodeSpeedup: 8}); n != 0 {
+		t.Fatalf("clean decode run failed %d gate(s):\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "primed decode speedup") {
+		t.Fatalf("decode-speedup check not reported:\n%s", out.String())
+	}
+
+	// Every entry paying for its type graph again must fail.
+	results["BenchmarkStoredDecode/primed"]["ns/op"] = results["BenchmarkStoredDecode/fresh"]["ns/op"]
+	out.Reset()
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minDecodeSpeedup: 8}); n != 1 {
+		t.Fatalf("primed decode at fresh cost reported %d failures, want 1:\n%s", n, out.String())
+	}
+
+	// Missing series fails loudly.
+	delete(results, "BenchmarkStoredDecode/fresh")
+	out.Reset()
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minDecodeSpeedup: 8}); n != 1 {
+		t.Fatalf("missing decode series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
 
@@ -281,7 +313,7 @@ func TestGateRespCacheSpeedup(t *testing.T) {
 
 	// Sample: uncached 14832 ns vs cached 2716 / 304 2231 — both >= 5x.
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 5, 0, 0, 0); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minRespSpeedup: 5}); n != 0 {
 		t.Fatalf("clean response-cache run failed %d gate(s):\n%s", n, out.String())
 	}
 	for _, want := range []string{"response-cache speedup", "not-modified speedup"} {
@@ -294,14 +326,14 @@ func TestGateRespCacheSpeedup(t *testing.T) {
 	results["BenchmarkServerWarmGet/notmodified"]["ns/op"] =
 		results["BenchmarkServerWarmGet/uncached"]["ns/op"] * 0.5
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0, 0, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minRespSpeedup: 5}); n != 1 {
 		t.Fatalf("degraded 304 path reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// Missing sub-benchmarks fail both ratio checks loudly.
 	delete(results, "BenchmarkServerWarmGet/uncached")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 1000, 0, 0, 0, 5, 0, 0, 0); n != 2 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 1000, minRespSpeedup: 5}); n != 2 {
 		t.Fatalf("missing uncached series reported %d failures, want 2:\n%s", n, out.String())
 	}
 }
@@ -323,7 +355,7 @@ PASS
 	floors := loadFloors(t, `{"points":[{"benchmarks":{"BenchmarkTinyCell":{"cells_s":90,"fixed_share":0.22}}}]}`)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.35, 0); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, maxTinyFixedShare: 0.35}); n != 0 {
 		t.Fatalf("clean tiny-cell run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "tiny-cell fixed share 0.221") {
@@ -332,7 +364,7 @@ PASS
 
 	// Fixed costs creeping back past the ceiling fail, whatever the host.
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.2, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, maxTinyFixedShare: 0.2}); n != 1 {
 		t.Fatalf("share above the ceiling reported %d failures, want 1:\n%s", n, out.String())
 	}
 
@@ -340,7 +372,7 @@ PASS
 	delete(results, "BenchmarkTinyCell")
 	results["BenchmarkOther"] = benchResult{"ns/op": 1}
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0.35, 0); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, maxTinyFixedShare: 0.35}); n != 1 {
 		t.Fatalf("missing tiny-cell series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }
@@ -358,7 +390,7 @@ PASS
 	floors := loadFloors(t, `{"points":[{"benchmarks":{"BenchmarkMachineRun/base":{"instr_s":19000000,"run_share":0.6719}}}]}`)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0.65); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minRunShare: 0.65}); n != 0 {
 		t.Fatalf("clean run failed %d gate(s):\n%s", n, out.String())
 	}
 	if !strings.Contains(out.String(), "quiet-run share 0.672") {
@@ -368,14 +400,14 @@ PASS
 	// The count is exact, so the floor may sit close under it: a loop that
 	// retires fewer instructions in runs fails on any host.
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0.7); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minRunShare: 0.7}); n != 1 {
 		t.Fatalf("share below the floor reported %d failures, want 1:\n%s", n, out.String())
 	}
 
 	// A missing series fails loudly.
 	delete(results, "BenchmarkMachineRun/base")
 	out.Reset()
-	if n := gate(&out, results, floors, 0.35, 4.0, 0, 0, 0, 0, 0, 0, 0.65); n != 1 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minRunShare: 0.65}); n != 1 {
 		t.Fatalf("missing base series reported %d failures, want 1:\n%s", n, out.String())
 	}
 }

@@ -68,79 +68,43 @@ type storedResult struct {
 	BloomAccuracy             float64
 }
 
-// memoCacheCap bounds the decoded-result cache entries a storeMemo keeps
-// (a Result is a few KB of counters plus optional event slices; hundreds
-// of entries cover any realistic working set of sweeps and figures).
-const memoCacheCap = 512
-
 // storeMemo adapts a content-addressed store.Store to the Memo interface,
 // encoding results with gob (bit-exact for floats, so a replayed result
-// formats byte-identically to the executed one).
+// formats byte-identically to the executed one). It caches no results:
+// the pool calls Get once per claimed job and keeps every result it
+// resolves in its own memo, so a second Get of one key never comes.
 //
-// Above the store it keeps a bounded cache of *decoded* Results with
-// singleflight semantics: N concurrent Gets of the same warm key block on
-// one gob decode instead of performing N, and later Gets skip the decode
-// (and, with the store's memory tier, all I/O) entirely. Cached Results
-// are shared between callers — safe because the pool treats results as
-// immutable once recorded. The store's immutability invariant carries
-// up: a decoded entry can never be stale in content, only in existence,
-// exactly like the store's own memory tier.
+// Every entry is one gob stream: the type-definition messages for
+// storedResult's type graph (its "type section", ~900 bytes), then one
+// value message. Compiling that graph is ~95 % of a fresh decode, and
+// every entry a process writes carries the same section, so the memo
+// keeps one decoder primed with the last section it decoded and feeds it
+// only the value message of an entry whose section is byte-identical.
+// An entry with another section (a writer whose gob type ids differ)
+// decodes fresh and primes the decoder for its kind.
 type storeMemo struct {
 	s *store.Store
 
+	// mu guards the primed decoder: dec has consumed exactly the type
+	// section section, and reads its next message from in.
 	mu      sync.Mutex
-	decoded map[string]*memoEntry
-	order   []string // insertion order, for bounding (oldest first)
-}
-
-// memoEntry is one singleflight slot: ready closes when the first
-// caller's decode finishes, after which res/ok never change.
-type memoEntry struct {
-	ready chan struct{}
-	res   Result
-	ok    bool
+	dec     *gob.Decoder
+	in      *bytes.Reader
+	section []byte
 }
 
 // NewStoreMemo wraps a result store as a pool Memo.
 func NewStoreMemo(s *store.Store) Memo {
-	return &storeMemo{s: s, decoded: make(map[string]*memoEntry)}
+	return &storeMemo{s: s}
 }
 
 func (m *storeMemo) Get(key string) (Result, bool) {
-	m.mu.Lock()
-	if e, ok := m.decoded[key]; ok {
-		m.mu.Unlock()
-		<-e.ready // singleflight: wait for the first caller's decode
-		return e.res, e.ok
-	}
-	e := &memoEntry{ready: make(chan struct{})}
-	m.insertLocked(key, e)
-	m.mu.Unlock()
-
-	e.res, e.ok = m.load(key)
-	if !e.ok {
-		// Misses are not cached here (the store's negative tier already
-		// makes them cheap, and a Put by another process must become
-		// visible on the next Get), so drop the slot before releasing
-		// waiters.
-		m.mu.Lock()
-		if m.decoded[key] == e {
-			delete(m.decoded, key)
-		}
-		m.mu.Unlock()
-	}
-	close(e.ready)
-	return e.res, e.ok
-}
-
-// load reads and decodes key from the store (no caching).
-func (m *storeMemo) load(key string) (Result, bool) {
 	b, ok := m.s.Get(key)
 	if !ok {
 		return Result{}, false
 	}
-	var sr storedResult
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&sr); err != nil {
+	sr, ok := m.decode(b)
+	if !ok {
 		// An undecodable payload (written by a binary with different result
 		// types under the same key version) is a miss, like any corruption.
 		return Result{}, false
@@ -153,26 +117,81 @@ func (m *storeMemo) load(key string) (Result, bool) {
 	}, true
 }
 
-// insertLocked records a slot under key and evicts the oldest completed
-// slots past memoCacheCap. Callers hold m.mu.
-func (m *storeMemo) insertLocked(key string, e *memoEntry) {
-	m.decoded[key] = e
-	m.order = append(m.order, key)
-	for len(m.decoded) > memoCacheCap && len(m.order) > 0 {
-		oldest := m.order[0]
-		m.order = m.order[1:]
-		old, ok := m.decoded[oldest]
-		if !ok || old == e {
-			continue
+// decode decodes one entry exactly as gob.NewDecoder(bytes.NewReader(b))
+// would. If b's type section is the one the primed decoder consumed, only
+// b's value message is fed to it; otherwise a fresh decoder decodes all
+// of b and, on success, becomes the primed one. A decoder that fails is
+// never kept.
+func (m *storeMemo) decode(b []byte) (storedResult, bool) {
+	var sr storedResult
+	n := typeSectionLen(b)
+	m.mu.Lock()
+	if n >= 0 && m.dec != nil && bytes.Equal(b[:n], m.section) {
+		m.in.Reset(b[n:])
+		err := m.dec.Decode(&sr)
+		if err != nil {
+			m.dec, m.in, m.section = nil, nil, nil
 		}
-		select {
-		case <-old.ready:
-			delete(m.decoded, oldest)
-		default:
-			// Still decoding; its Get will finish regardless. Leave it —
-			// the map may transiently exceed the cap by in-flight slots.
-		}
+		m.mu.Unlock()
+		return sr, err == nil
 	}
+	m.mu.Unlock()
+
+	in := bytes.NewReader(b)
+	dec := gob.NewDecoder(in)
+	if err := dec.Decode(&sr); err != nil {
+		return storedResult{}, false
+	}
+	if n >= 0 {
+		m.mu.Lock()
+		m.dec, m.in, m.section = dec, in, bytes.Clone(b[:n])
+		m.mu.Unlock()
+	}
+	return sr, true
+}
+
+// typeSectionLen returns the length of b's leading type-definition
+// messages — the offset of its first value message — or -1 if b does not
+// frame as such. The framing is gob's ("Encoding details"): a message is
+// a byte count then that many bytes, which open with a signed type id,
+// negative for a type definition. Counts and ids are gob uints (one byte
+// below 0x80, else a negated byte count and that many big-endian bytes);
+// a signed int's sign is its uint's low bit.
+func typeSectionLen(b []byte) int {
+	for off := 0; ; {
+		count, w := gobUint(b[off:])
+		if w == 0 || count > uint64(len(b)-off-w) {
+			return -1
+		}
+		id, iw := gobUint(b[off+w : off+w+int(count)])
+		if iw == 0 {
+			return -1
+		}
+		if id&1 == 0 { // a non-negative id: the value message
+			return off
+		}
+		off += w + int(count)
+	}
+}
+
+// gobUint decodes one gob uint from the front of b, returning it and its
+// width in bytes, or width 0 if b does not start with a whole one. Like
+// gob, it accepts non-minimal encodings.
+func gobUint(b []byte) (x uint64, width int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] <= 0x7f {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) < 1+n {
+		return 0, 0
+	}
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
 }
 
 func (m *storeMemo) Put(key string, res Result) {
@@ -190,18 +209,4 @@ func (m *storeMemo) Put(key string, res Result) {
 	}
 	// Best effort by contract: a failed write only costs a future re-run.
 	_ = m.s.Put(key, buf.Bytes())
-	// The decoded form is in hand; cache it so the first warm Get skips
-	// the read+decode too.
-	e := &memoEntry{ready: make(chan struct{}), res: Result{
-		Sim:           res.Sim,
-		ReuseGlobal:   res.ReuseGlobal,
-		ReusePerType:  res.ReusePerType,
-		BloomAccuracy: res.BloomAccuracy,
-	}, ok: true}
-	close(e.ready)
-	m.mu.Lock()
-	if _, exists := m.decoded[key]; !exists {
-		m.insertLocked(key, e)
-	}
-	m.mu.Unlock()
 }

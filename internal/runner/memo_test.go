@@ -2,11 +2,9 @@ package runner
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"slicc/internal/sim"
@@ -205,78 +203,6 @@ func TestStoreMemoTraceJob(t *testing.T) {
 	}
 }
 
-// openMemStore opens a store with the in-memory hot tier enabled, so its
-// Stats expose how many lookups the memo actually performed.
-func openMemStore(t testing.TB, dir string) *store.Store {
-	t.Helper()
-	s, err := store.Open(dir, store.Options{MemBytes: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-// storeLookups sums every tier's lookup counters — the total number of
-// times anything asked the store for a key.
-func storeLookups(t *testing.T, s *store.Store) int64 {
-	t.Helper()
-	st, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st.MemHits + st.MemMisses + st.NegativeHits
-}
-
-func TestStoreMemoDecodesOnce(t *testing.T) {
-	dir := t.TempDir()
-	res := Result{Sim: sim.Result{Cycles: 42}}
-	NewStoreMemo(openMemStore(t, dir)).Put("k", res)
-
-	// A fresh memo over a fresh handle: N concurrent Gets of the warm key
-	// must collapse onto ONE store lookup (singleflight), everyone getting
-	// the same decoded result.
-	s := openMemStore(t, dir)
-	m := NewStoreMemo(s)
-	before := storeLookups(t, s)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, ok := m.Get("k")
-			if !ok || got.Sim.Cycles != 42 {
-				t.Errorf("warm get: ok=%v cycles=%v", ok, got.Sim.Cycles)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := storeLookups(t, s) - before; n != 1 {
-		t.Fatalf("8 concurrent warm Gets performed %d store lookups, want 1", n)
-	}
-	// Later Gets are served from the decoded cache: still no new lookups.
-	if _, ok := m.Get("k"); !ok {
-		t.Fatal("cached get missed")
-	}
-	if n := storeLookups(t, s) - before; n != 1 {
-		t.Fatalf("decoded cache bypassed: %d lookups", n)
-	}
-}
-
-func TestStoreMemoPutCachesDecoded(t *testing.T) {
-	s := openStore(t, t.TempDir())
-	m := NewStoreMemo(s)
-	m.Put("k", Result{Sim: sim.Result{Cycles: 7}})
-	// Remove the persisted entry; the decoded copy cached by Put must
-	// still serve (proving the first warm Get skips the read+decode).
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := m.Get("k"); !ok || got.Sim.Cycles != 7 {
-		t.Fatalf("Put's decoded copy not cached: ok=%v got=%+v", ok, got)
-	}
-}
-
 func TestStoreMemoMissesNotCached(t *testing.T) {
 	// Two memos over one directory model two processes. A miss in A must
 	// not be cached: once B records the key, A sees it.
@@ -305,24 +231,6 @@ func TestStoreMemoFailedResultNotCached(t *testing.T) {
 	}
 	if st.Entries != 0 {
 		t.Fatal("failed result persisted")
-	}
-}
-
-func TestStoreMemoCacheBounded(t *testing.T) {
-	m := NewStoreMemo(openStore(t, t.TempDir())).(*storeMemo)
-	for i := 0; i < memoCacheCap+100; i++ {
-		m.Put(fmt.Sprintf("key-%d", i), Result{Sim: sim.Result{Cycles: float64(i)}})
-	}
-	m.mu.Lock()
-	n := len(m.decoded)
-	m.mu.Unlock()
-	if n > memoCacheCap {
-		t.Fatalf("decoded cache holds %d entries, cap %d", n, memoCacheCap)
-	}
-	// The newest entries survived (insertion-order eviction drops oldest).
-	last := fmt.Sprintf("key-%d", memoCacheCap+99)
-	if got, ok := m.Get(last); !ok || got.Sim.Cycles != float64(memoCacheCap+99) {
-		t.Fatalf("newest entry evicted: ok=%v", ok)
 	}
 }
 

@@ -19,9 +19,12 @@ package server
 // exposition describes the same instant.
 
 import (
+	"errors"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -323,17 +326,29 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// probeDir is the store subdirectory /healthz's write probe works in.
+// store.Stats reuses its last listing while the store directory's mtime
+// stands, and a file created and removed in that directory moves it; in
+// a subdirectory, only the subdirectory's mtime moves (as with the
+// queue/ subdirectory).
+const probeDir = ".probe"
+
 // checkStore probes the health of the engine's persistent store by
-// creating and removing a temp file in its directory — the same operation
-// every result Put starts with. It returns the store state token for the
-// health body ("none" without a store, "rw" when writable) and a nil or
-// describing error.
+// creating and removing a temp file in a subdirectory of it — the same
+// operation every result Put starts with, on the same filesystem. It
+// returns the store state token for the health body ("none" without a
+// store, "rw" when writable) and a nil or describing error.
 func (s *Server) checkStore() (state string, err error) {
 	dir := s.eng.StoreDir()
 	if dir == "" {
 		return "none", nil
 	}
-	f, err := os.CreateTemp(dir, ".probe-*")
+	// Mkdir, not MkdirAll: a vanished store directory must fail the probe.
+	sub := filepath.Join(dir, probeDir)
+	if err := os.Mkdir(sub, 0o777); err != nil && !errors.Is(err, fs.ErrExist) {
+		return "error", err
+	}
+	f, err := os.CreateTemp(sub, "probe-*")
 	if err != nil {
 		return "error", err
 	}

@@ -453,6 +453,66 @@ func TestHealthzReadiness(t *testing.T) {
 	}
 }
 
+// TestHealthzLeavesStoreListingAlone: the readiness probe writes in a
+// subdirectory, so after the first probe (which creates it) probes never
+// move the store directory's mtime, and an aged store answers probes and
+// stats reads alike from its one remembered listing (the decoy entry of
+// TestQuiescentStoreReadsDoNotListIt shows any new listing).
+func TestHealthzLeavesStoreListingAlone(t *testing.T) {
+	dir := t.TempDir()
+	ts, _, _ := newTelemetryServer(t, dir)
+	if _, err := http.Post(ts.URL+"/v1/simulations?wait=1", "application/json", strings.NewReader(tinyBody)); err != nil {
+		t.Fatal(err)
+	}
+	probe := func() {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz status %d", r.StatusCode)
+		}
+	}
+	entries := func() int {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode[statsResponse](t, r).Store.Entries
+	}
+	probe()
+	aged := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(dir, aged, aged); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	for i := 0; i < n; i++ {
+		probe()
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.ModTime().Equal(aged) {
+		t.Fatalf("%d probes moved the store directory's mtime (err %v)", n, err)
+	}
+
+	if got := entries(); got != 1 {
+		t.Fatalf("entries after one simulation: %d", got)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "decoy.sre"), []byte("x"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(dir, aged, aged); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		probe()
+		if got := entries(); got != 1 {
+			t.Fatalf("read %d after a probe listed the store again: %d entries", i, got)
+		}
+	}
+}
+
 // TestMetricsDuringStreamingSweep scrapes /metrics from several goroutines
 // while a streaming sweep runs and an SSE subscriber drains its events —
 // the registry-race test at the service level (meaningful under -race).
