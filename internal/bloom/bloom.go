@@ -73,11 +73,6 @@ func New(cfg Config) *Filter {
 // Config returns the filter's configuration with defaults applied.
 func (f *Filter) Config() Config { return f.cfg }
 
-// SizeBits returns the nominal hardware size in bits (one presence bit per
-// bucket, which is what the paper's Figure 9 and Table 3 count; the
-// reference counters are bookkeeping to support eviction).
-func (f *Filter) SizeBits() int { return f.cfg.Bits }
-
 // index computes the i-th bucket for a block address. The hash mixes the
 // block address with a per-function odd multiplier (Knuth multiplicative
 // hashing); bucket 0 uses the low "partial address" bits directly so that a

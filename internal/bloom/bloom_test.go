@@ -189,3 +189,8 @@ func BenchmarkContains(b *testing.B) {
 		f.Contains(uint64(i) & 1023)
 	}
 }
+
+// SizeBits returns the nominal hardware size in bits (one presence bit per
+// bucket, which is what the paper's Figure 9 and Table 3 count; the
+// reference counters are bookkeeping to support eviction).
+func (f *Filter) SizeBits() int { return f.cfg.Bits }

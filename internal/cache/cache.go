@@ -355,12 +355,6 @@ func log2(v uint64) uint {
 // applied).
 func (c *Cache) Config() Config { return c.cfg }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return c.numSets }
-
-// NumBlocks returns the total number of blocks (lines).
-func (c *Cache) NumBlocks() int { return c.numSets * c.cfg.Ways }
-
 // HitLatency returns the configured hit latency in cycles.
 func (c *Cache) HitLatency() int { return c.cfg.HitLatency }
 
@@ -551,15 +545,6 @@ func (c *Cache) Blocks(dst []uint64) []uint64 {
 		}
 	}
 	return dst
-}
-
-// ValidCount returns the number of valid lines.
-func (c *Cache) ValidCount() int {
-	n := 0
-	for i := range c.sets {
-		n += bits.OnesCount64(c.sets[i].valid)
-	}
-	return n
 }
 
 // Stats returns a copy of the accumulated statistics.

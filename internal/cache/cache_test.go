@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -570,4 +571,19 @@ func TestRecycledStoreBehavesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// NumSets returns the number of sets.
+func (c *Cache) NumSets() int { return c.numSets }
+
+// NumBlocks returns the total number of blocks (lines).
+func (c *Cache) NumBlocks() int { return c.numSets * c.cfg.Ways }
+
+// ValidCount returns the number of valid lines.
+func (c *Cache) ValidCount() int {
+	n := 0
+	for i := range c.sets {
+		n += bits.OnesCount64(c.sets[i].valid)
+	}
+	return n
 }

@@ -132,11 +132,8 @@ func (h *Hierarchy) Contains(addr uint64) bool { return h.l2.Contains(addr) }
 // Stats returns a copy of the hierarchy counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
-// L2Stats exposes the underlying L2 cache statistics.
-func (h *Hierarchy) L2Stats() cache.Stats { return h.l2.Stats() }
-
 // Release returns the L2's backing store for reuse (see cache.Release).
-// Only Config, Stats and L2Stats may be called afterwards.
+// Only Config and Stats may be called afterwards.
 func (h *Hierarchy) Release() { h.l2.Release() }
 
 // Recycled reports whether the L2 was built on a released store.

@@ -12,10 +12,11 @@ package server
 //     full buffer behind is disconnected (its channel closed), which is
 //     safe precisely because replay is lossless — it reconnects with
 //     Last-Event-ID and catches up from the log.
-//   - Streams must terminate: finish publishes the terminal event before
-//     the entry is marked done, and only done entries are ever evicted, so
-//     a connected client always sees the end of its stream. Evicted and
-//     unknown ids get an immediate 404 pointing at the re-POST contract.
+//   - Streams must terminate: finish publishes the terminal event to
+//     every subscriber, right after the entry is marked done and whether
+//     or not it is still tracked, so a connected client always sees the
+//     end of its stream. Evicted and unknown ids get an immediate 404
+//     pointing at the re-POST contract.
 //
 // The event log stores compact refs (type, index, flags), not payloads:
 // cell metrics are kept once in the partial-result maps — which the GET

@@ -713,13 +713,15 @@ func (s *Server) startSweepLocked(id string, spec slicc.SweepSpec, reqID string)
 	go func() {
 		defer s.running.Done()
 		// Like simulations, the sweep belongs to the service: it survives
-		// client disconnects and only shutdown aborts it. finish publishes
-		// the stream's terminal event before done closes, so every
-		// connected subscriber sees "done"/"error", never a silent stall.
+		// client disconnects and only shutdown aborts it. done closes
+		// before finish publishes the stream's terminal event, so a client
+		// that has read "done"/"error" finds the resource complete on its
+		// next GET; finish then hands the terminal event to every
+		// subscriber, tracked or evicted, so none sees a silent stall.
 		res, err := s.sweepRun(runCtx, e.spec, emit)
 		e.result, e.err = res, err
-		e.prog.finish(res, err)
 		close(e.done)
+		e.prog.finish(res, err)
 		d := time.Since(start)
 		if err != nil {
 			logger.Warn("sweep failed", slog.Duration("duration", d), slog.String("error", err.Error()))
@@ -731,10 +733,10 @@ func (s *Server) startSweepLocked(id string, spec slicc.SweepSpec, reqID string)
 }
 
 // evictCompletedSweepsLocked bounds s.sweeps at Options.MaxTrackedSweeps
-// by dropping the oldest completed entries. An evicted sweep's event
-// stream has already ended — finish publishes the terminal event at
-// completion, and only completed entries are evicted — so eviction can
-// never strand a connected client; new connections to the id get 404.
+// by dropping the oldest completed entries. Eviction can never strand a
+// connected client: only completed entries are evicted, and finish
+// publishes the terminal event to every subscriber of the entry whether
+// or not it is still tracked; new connections to the id get 404.
 // Caller holds s.mu.
 func (s *Server) evictCompletedSweepsLocked() {
 	if len(s.sweeps) <= s.opts.MaxTrackedSweeps {

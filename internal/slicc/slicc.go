@@ -451,12 +451,3 @@ func (p *Policy) idleCore(from int) int {
 func (p *Policy) SearchStats() (searches, matched, idle, stayed uint64) {
 	return p.searches, p.matchMoves, p.idleMoves, p.noDestStay
 }
-
-// StrayFraction reports the fraction of threads classified stray (0 for
-// the oblivious variant, which has no teams).
-func (p *Policy) StrayFraction() float64 {
-	if p.teams == nil {
-		return 0
-	}
-	return p.teams.strayFraction()
-}

@@ -362,3 +362,20 @@ func TestSearchStatsAccounted(t *testing.T) {
 		t.Fatalf("outcome split %d+%d+%d != %d searches", matched, idle, stayed, searches)
 	}
 }
+
+// StrayFraction reports the fraction of threads classified stray (0 for
+// the oblivious variant, which has no teams).
+func (p *Policy) StrayFraction() float64 {
+	if p.teams == nil {
+		return 0
+	}
+	return p.teams.strayFraction()
+}
+
+// strayFraction reports the share of threads classified stray.
+func (ts *teamScheduler) strayFraction() float64 {
+	if ts.total == 0 {
+		return 0
+	}
+	return float64(ts.strayCount) / float64(ts.total)
+}

@@ -237,11 +237,3 @@ func (ts *teamScheduler) deactivate(tm *team) {
 		}
 	}
 }
-
-// strayFraction reports the share of threads classified stray.
-func (ts *teamScheduler) strayFraction() float64 {
-	if ts.total == 0 {
-		return 0
-	}
-	return float64(ts.strayCount) / float64(ts.total)
-}

@@ -119,7 +119,6 @@ func aggregate(norm Spec, ex *expansion, rs []runner.Result) *Result {
 		Objective: norm.Objective,
 		Spec:      norm,
 		Cells:     make([]CellResult, len(ex.cells)),
-		BestIndex: -1,
 	}
 	for i, c := range ex.baseCells {
 		cr := cellResult(c, rs[len(ex.cells)+i])
@@ -132,41 +131,88 @@ func aggregate(norm Spec, ex *expansion, rs []runner.Result) *Result {
 			cr.Speedup = res.Baselines[bi].Cycles / cr.Cycles
 		}
 		res.Cells[i] = cr
-		if better(norm.Objective, cr, res.Best()) {
-			res.BestIndex = i
-		}
 	}
+	res.BestIndex = bestIndex(norm.Objective, res.Cells)
 	return res
 }
 
-// better reports whether candidate beats the incumbent under the objective
-// (nil incumbent loses to any qualifying candidate; ties keep the
-// incumbent, so the first-expanded cell wins deterministically).
-func better(objective string, candidate CellResult, incumbent *CellResult) bool {
-	score := func(c CellResult) (v float64, max bool, ok bool) {
-		switch objective {
-		case "speedup":
-			return c.Speedup, true, c.Speedup > 0
-		case "cycles":
-			return c.Cycles, false, c.Cycles > 0
-		case "impki":
-			return c.IMPKI, false, true
-		default: // "dmpki"
-			return c.DMPKI, false, true
+// Assemble rebuilds the Result of spec from rows delivered one at a time —
+// cells and baselines keyed by expansion index, as RunStream's events
+// carry them, with their final Speedup — without running anything. Every
+// index must be present, none may be extra, and each row's Cell must be
+// the expansion's; anything else is an error, never a partial Result. For
+// the rows a run emitted, the Result equals the one the run returned.
+func Assemble(spec Spec, cells, baselines map[int]CellResult) (*Result, error) {
+	norm, err := spec.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	ex, err := norm.expand()
+	if err != nil {
+		return nil, err
+	}
+	if len(cells) != len(ex.cells) || len(baselines) != len(ex.baseCells) {
+		return nil, fmt.Errorf("sweep: %d cells and %d baselines delivered, the spec expands to %d and %d",
+			len(cells), len(baselines), len(ex.cells), len(ex.baseCells))
+	}
+	res := &Result{
+		Name:      norm.Name,
+		Objective: norm.Objective,
+		Spec:      norm,
+		Cells:     make([]CellResult, len(ex.cells)),
+	}
+	row := func(kind string, i int, want Cell, got map[int]CellResult) (CellResult, error) {
+		r, ok := got[i]
+		if !ok {
+			return CellResult{}, fmt.Errorf("sweep: %s %d was not delivered", kind, i)
+		}
+		if r.Cell != want {
+			return CellResult{}, fmt.Errorf("sweep: %s %d is %+v, the spec expands it to %+v", kind, i, r.Cell, want)
+		}
+		return r, nil
+	}
+	for i, c := range ex.baseCells {
+		cr, err := row("baseline", i, c, baselines)
+		if err != nil {
+			return nil, err
+		}
+		res.Baselines = append(res.Baselines, cr)
+	}
+	for i, c := range ex.cells {
+		if res.Cells[i], err = row("cell", i, c, cells); err != nil {
+			return nil, err
 		}
 	}
-	cv, max, ok := score(candidate)
-	if !ok {
-		return false
+	res.BestIndex = bestIndex(norm.Objective, res.Cells)
+	return res, nil
+}
+
+// bestIndex returns the index of the objective-best cell, -1 when no cell
+// qualifies. Ties keep the earlier cell, so the first-expanded one wins
+// deterministically.
+func bestIndex(objective string, cells []CellResult) int {
+	best, bestV := -1, 0.0
+	for i, c := range cells {
+		var v float64
+		ok, maximize := true, false
+		switch objective {
+		case "speedup":
+			v, ok, maximize = c.Speedup, c.Speedup > 0, true
+		case "cycles":
+			v, ok = c.Cycles, c.Cycles > 0
+		case "impki":
+			v = c.IMPKI
+		default: // "dmpki"
+			v = c.DMPKI
+		}
+		if !ok {
+			continue
+		}
+		if best < 0 || (maximize && v > bestV) || (!maximize && v < bestV) {
+			best, bestV = i, v
+		}
 	}
-	if incumbent == nil {
-		return true
-	}
-	iv, _, _ := score(*incumbent)
-	if max {
-		return cv > iv
-	}
-	return cv < iv
+	return best
 }
 
 // resultColumns is the shared column set of Rows and WriteCSV.

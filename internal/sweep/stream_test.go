@@ -113,3 +113,44 @@ func TestRunStreamNilEmit(t *testing.T) {
 		t.Fatal("nil-emit RunStream diverges from Run")
 	}
 }
+
+// TestAssembleFromStreamEvents: the rows RunStream emits rebuild exactly
+// the Result it returns, and a missing, extra or foreign row is an error.
+func TestAssembleFromStreamEvents(t *testing.T) {
+	want, events := collectStream(t, "", 2)
+	rows := func() (cells, baselines map[int]CellResult) {
+		cells, baselines = map[int]CellResult{}, map[int]CellResult{}
+		for _, ev := range events {
+			if ev.Type == EventBaseline {
+				baselines[ev.Index] = *ev.Cell
+			} else {
+				cells[ev.Index] = *ev.Cell
+			}
+		}
+		return cells, baselines
+	}
+	cells, baselines := rows()
+	got, err := Assemble(tinySpec(), cells, baselines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("assembled result diverges from RunStream's:\n%+v\nvs\n%+v", got, want)
+	}
+
+	for name, spoil := range map[string]func(cells, baselines map[int]CellResult){
+		"missing cell":     func(cells, _ map[int]CellResult) { delete(cells, 2) },
+		"missing baseline": func(_, baselines map[int]CellResult) { delete(baselines, 0) },
+		"moved cell":       func(cells, _ map[int]CellResult) { cells[len(cells)] = cells[0]; delete(cells, 0) },
+		"extra cell":       func(cells, _ map[int]CellResult) { cells[len(cells)] = cells[0] },
+		"empty row":        func(cells, _ map[int]CellResult) { cells[1] = CellResult{} },
+		"foreign cell":     func(cells, _ map[int]CellResult) { c := cells[3]; c.Threads++; cells[3] = c },
+		"swapped rows":     func(cells, _ map[int]CellResult) { cells[0], cells[1] = cells[1], cells[0] },
+	} {
+		cells, baselines := rows()
+		spoil(cells, baselines)
+		if res, err := Assemble(tinySpec(), cells, baselines); err == nil {
+			t.Errorf("%s: assembled %+v, want an error", name, res)
+		}
+	}
+}

@@ -309,6 +309,29 @@ func TestRunAggregates(t *testing.T) {
 	}
 }
 
+// TestBestIndex pins the objective rules Run and Assemble share: speedup
+// is maximized and cycles minimized over positive values only, the miss
+// rates are minimized over every cell, and ties keep the earlier cell.
+func TestBestIndex(t *testing.T) {
+	cells := []CellResult{
+		{Cycles: 0, IMPKI: 3, DMPKI: 1, Speedup: 0},
+		{Cycles: 900, IMPKI: 0, DMPKI: 2, Speedup: 1.5},
+		{Cycles: 700, IMPKI: 0, DMPKI: 1, Speedup: 1.5},
+		{Cycles: 700, IMPKI: 2, DMPKI: 4, Speedup: 1.2},
+	}
+	for obj, want := range map[string]int{"speedup": 1, "cycles": 2, "impki": 1, "dmpki": 0} {
+		if got := bestIndex(obj, cells); got != want {
+			t.Errorf("objective %s: best %d, want %d", obj, got, want)
+		}
+	}
+	if got := bestIndex("speedup", cells[:1]); got != -1 {
+		t.Errorf("no cell with a speedup: best %d, want -1", got)
+	}
+	if got := bestIndex("cycles", nil); got != -1 {
+		t.Errorf("no cells: best %d, want -1", got)
+	}
+}
+
 // TestRunDeterministicAcrossWorkers pins the worker-count independence of
 // the whole aggregate (the byte-identical-output contract).
 func TestRunDeterministicAcrossWorkers(t *testing.T) {

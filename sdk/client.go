@@ -9,7 +9,10 @@
 // entirely (service restart — ErrSweepGone) WatchSweep re-POSTs the spec,
 // whose id is its content key, and previously finished cells come back
 // instantly as store hits. Callers observe every cell exactly once either
-// way.
+// way, and the result WatchSweep returns is assembled from those same
+// delivered cells, so a watched sweep's cells cross the wire once;
+// Client.Sweep (GET /v1/sweeps/{id}) is the poller's view of the same
+// result.
 package sdk
 
 import (

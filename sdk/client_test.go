@@ -116,12 +116,23 @@ func TestSimulationRoundTrip(t *testing.T) {
 	}
 }
 
-// fakeCell fabricates a cell payload for scripted-stream tests.
-func fakeCell(i int) *slicc.SweepCellResult {
-	c := &slicc.SweepCellResult{}
-	c.Workload, c.Policy = "tpcc1", "base"
-	c.Cycles = float64(100 * (i + 1))
-	return c
+// tinyRows fabricates metrics for tinySpec's real expansion, so scripted
+// streams can be assembled into a result: one base-policy baseline per
+// workload, then each workload's base and slicc-sw cells.
+func tinyRows() (cells, baselines []slicc.SweepCellResult) {
+	row := func(workload, policy string, cycles, speedup float64) slicc.SweepCellResult {
+		var r slicc.SweepCellResult
+		r.Workload, r.Threads, r.Seed, r.Scale = workload, 6, 1, 0.05
+		r.Cores, r.L1IKB, r.L1DKB, r.Policy = 16, 32, 32, policy
+		r.Instructions, r.Cycles, r.Speedup = 1000, cycles, speedup
+		return r
+	}
+	baselines = []slicc.SweepCellResult{row("tpcc1", "base", 1000, 1), row("skewed", "base", 1000, 1)}
+	cells = []slicc.SweepCellResult{
+		row("tpcc1", "base", 1000, 1), row("tpcc1", "slicc-sw", 800, 1.25),
+		row("skewed", "base", 1000, 1), row("skewed", "slicc-sw", 500, 2),
+	}
+	return cells, baselines
 }
 
 func writeEvent(w http.ResponseWriter, seq int, ev slicc.SweepEvent) {
@@ -132,7 +143,53 @@ func writeEvent(w http.ResponseWriter, seq int, ev slicc.SweepEvent) {
 }
 
 func cellEvent(i int) slicc.SweepEvent {
-	return slicc.SweepEvent{Type: slicc.SweepEventCell, Index: i, Completed: i + 1, Total: 4, Cell: fakeCell(i)}
+	cells, _ := tinyRows()
+	return slicc.SweepEvent{Type: slicc.SweepEventCell, Index: i, Completed: i + 1, Total: 4, Cell: &cells[i]}
+}
+
+func baselineEvent(i int) slicc.SweepEvent {
+	_, baselines := tinyRows()
+	return slicc.SweepEvent{Type: slicc.SweepEventBaseline, Index: i, Total: 4, Cell: &baselines[i]}
+}
+
+// tinyStream is a whole run of tinySpec as a service emits it: each
+// group's baseline ahead of its cells.
+func tinyStream() []slicc.SweepEvent {
+	return []slicc.SweepEvent{
+		baselineEvent(0), cellEvent(0), cellEvent(1),
+		baselineEvent(1), cellEvent(2), cellEvent(3),
+	}
+}
+
+// scriptedSweepService fakes the sweep routes a watcher uses: POST
+// /v1/sweeps echoes the spec under id "s1", as sliccd echoes the spec it
+// runs, and every events connection is served by stream (conn counts
+// from 1). It counts POSTs and GETs of the sweep resource, which a
+// watcher never needs.
+func scriptedSweepService(t *testing.T, stream func(conn int32, w http.ResponseWriter)) (c *Client, posts, gets *atomic.Int32) {
+	posts, gets = new(atomic.Int32), new(atomic.Int32)
+	var conns atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		var spec slicc.SweepSpec
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			t.Errorf("POST body: %v", err)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{"id": "s1", "status": "running", "spec": spec, "total": 4})
+	})
+	mux.HandleFunc("GET /v1/sweeps/s1/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		stream(conns.Add(1), w)
+	})
+	mux.HandleFunc("GET /v1/sweeps/s1", func(w http.ResponseWriter, r *http.Request) {
+		gets.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return New(ts.URL, WithBackoff(time.Millisecond, 10*time.Millisecond)), posts, gets
 }
 
 // TestStreamReconnectsWithLastEventID scripts a service whose first
@@ -189,73 +246,68 @@ func TestStreamReconnectsWithLastEventID(t *testing.T) {
 
 // TestWatchSweepSurvivesServiceRestart scripts the crash contract: the
 // service forgets the sweep (404 on reconnect), WatchSweep re-POSTs the
-// spec, and the observer still sees every cell exactly once.
+// spec, and the observer still sees every cell exactly once. The result
+// is assembled from the delivered rows: the sweep resource is never
+// fetched.
 func TestWatchSweepSurvivesServiceRestart(t *testing.T) {
 	spec := tinySpec()
-	var posts, conns atomic.Int32
-	result := &slicc.SweepResult{Cells: make([]slicc.SweepCellResult, 4), BestIndex: -1}
-	for i := range result.Cells {
-		result.Cells[i] = *fakeCell(i)
+	norm, err := spec.Normalized()
+	if err != nil {
+		t.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		posts.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"id": "s1", "status": "running", "total": 4})
-	})
-	mux.HandleFunc("GET /v1/sweeps/s1/events", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/event-stream")
-		switch conns.Add(1) {
+	cells, baselines := tinyRows()
+	result := &slicc.SweepResult{
+		Name: spec.Name, Objective: "speedup", Spec: norm,
+		Cells: cells, Baselines: baselines, BestIndex: 3,
+	}
+	c, posts, gets := scriptedSweepService(t, func(conn int32, w http.ResponseWriter) {
+		switch conn {
 		case 1:
-			// Pre-restart run: two cells, then the process dies.
-			writeEvent(w, 1, cellEvent(0))
-			writeEvent(w, 2, cellEvent(1))
+			// Pre-restart run: a baseline and two cells, then the process
+			// dies.
+			for i, ev := range tinyStream()[:3] {
+				writeEvent(w, i+1, ev)
+			}
 			panic(http.ErrAbortHandler)
 		case 2:
 			// Post-restart service: the sweep is unknown.
 			w.WriteHeader(http.StatusNotFound)
 			json.NewEncoder(w).Encode(map[string]string{"error": "unknown sweep"})
 		default:
-			// Resubmitted run replays from scratch: the first two cells are
-			// store hits the client has already seen and must deduplicate.
-			for i := 0; i < 4; i++ {
-				ev := cellEvent(i)
-				ev.StoreHit = i < 2
+			// Resubmitted run replays from scratch: the first three events
+			// are store hits the client has already seen and must
+			// deduplicate.
+			for i, ev := range tinyStream() {
+				ev.StoreHit = i < 3
 				writeEvent(w, i+1, ev)
 			}
-			writeEvent(w, 5, slicc.SweepEvent{Type: slicc.SweepEventDone, Status: "done", Completed: 4, Total: 4})
+			writeEvent(w, 7, slicc.SweepEvent{Type: slicc.SweepEventDone, Status: "done", Completed: 4, Total: 4})
 		}
 	})
-	mux.HandleFunc("GET /v1/sweeps/s1", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"id": "s1", "status": "done", "total": 4, "completed": 4, "result": result})
-	})
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
 
-	c := New(ts.URL, WithBackoff(time.Millisecond, 10*time.Millisecond))
 	var mu sync.Mutex
-	cells := map[int]int{}
+	delivered := map[[2]string]int{}
 	res, err := c.WatchSweep(context.Background(), spec, func(ev slicc.SweepEvent) {
 		mu.Lock()
 		defer mu.Unlock()
-		if ev.Type == slicc.SweepEventCell {
-			cells[ev.Index]++
-		}
+		delivered[[2]string{ev.Type, fmt.Sprint(ev.Index)}]++
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res, result) {
-		t.Fatalf("result %+v", res)
+		t.Fatalf("result %+v\nwant %+v", res, result)
 	}
-	for i := 0; i < 4; i++ {
-		if cells[i] != 1 {
-			t.Fatalf("cell %d delivered %d times across the restart, want exactly once (%v)", i, cells[i], cells)
+	for _, ev := range tinyStream() {
+		if n := delivered[[2]string{ev.Type, fmt.Sprint(ev.Index)}]; n != 1 {
+			t.Fatalf("%s %d delivered %d times across the restart, want exactly once (%v)", ev.Type, ev.Index, n, delivered)
 		}
 	}
 	if posts.Load() != 2 {
 		t.Fatalf("%d spec POSTs, want 2 (initial + post-restart resubmit)", posts.Load())
+	}
+	if gets.Load() != 0 {
+		t.Fatalf("%d GETs of the sweep resource, want 0", gets.Load())
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"slicc"
+	"slicc/internal/sweep"
 )
 
 // SweepStream iterates a sweep's events. Create one with
@@ -207,16 +208,34 @@ func readEvent(br *bufio.Reader) (slicc.SweepEvent, error) {
 //   - failed runs: the sweep is resumed in place (again store-hitting
 //     completed cells) up to a bounded number of attempts.
 //
+// The result is assembled from the cells and baselines the stream
+// delivered (sweep.Assemble), against the spec the service echoed on
+// submit: it equals the result GET /v1/sweeps/{id} serves, without
+// fetching it. A stream that reaches "done" with an index missing, or
+// with a cell the spec does not expand to, is an error.
+//
 // onEvent may be nil. Event Seq values are transport positions and restart
 // with the service; identity across reconnects is the (type, index) pair.
 func (c *Client) WatchSweep(ctx context.Context, spec slicc.SweepSpec, onEvent func(slicc.SweepEvent)) (*slicc.SweepResult, error) {
-	seen := map[[2]string]bool{}
+	// The delivered rows by index: presence is the exactly-once check, and
+	// at "done" they are the result. Rows are copies, so onEvent cannot
+	// change the result; an event without a cell keeps a zero row, which
+	// assembly rejects as foreign.
+	cells := map[int]slicc.SweepCellResult{}
+	baselines := map[int]slicc.SweepCellResult{}
 	deliver := func(ev slicc.SweepEvent) {
-		key := [2]string{ev.Type, strconv.Itoa(ev.Index)}
-		if seen[key] {
+		rows := cells
+		if ev.Type == slicc.SweepEventBaseline {
+			rows = baselines
+		}
+		if _, ok := rows[ev.Index]; ok {
 			return
 		}
-		seen[key] = true
+		var row slicc.SweepCellResult
+		if ev.Cell != nil {
+			row = *ev.Cell
+		}
+		rows[ev.Index] = row
 		if onEvent != nil {
 			onEvent(ev)
 		}
@@ -239,9 +258,13 @@ func (c *Client) WatchSweep(ctx context.Context, spec slicc.SweepSpec, onEvent f
 			}
 			continue
 		}
-		res, werr := c.watchOnce(ctx, sw.ID, deliver)
+		werr := c.watchOnce(ctx, sw.ID, deliver)
 		switch {
 		case werr == nil:
+			res, err := sweep.Assemble(sw.Spec, cells, baselines)
+			if err != nil {
+				return nil, fmt.Errorf("sdk: sweep %s: %w", sw.ID, err)
+			}
 			return res, nil
 		case errors.Is(werr, ErrSweepGone):
 			// Restart/eviction: loop re-POSTs the spec. Not counted as a
@@ -260,34 +283,28 @@ func (c *Client) WatchSweep(ctx context.Context, spec slicc.SweepSpec, onEvent f
 	}
 }
 
-// watchOnce streams one submission to completion and fetches its final
-// result. A terminal "error" event surfaces as an error (the outer loop
-// decides whether to resume).
-func (c *Client) watchOnce(ctx context.Context, id string, deliver func(slicc.SweepEvent)) (*slicc.SweepResult, error) {
+// watchOnce streams one submission until its terminal event, handing cell
+// and baseline events to deliver, and returns nil at "done". A terminal
+// "error" event surfaces as an error (the outer loop decides whether to
+// resume).
+func (c *Client) watchOnce(ctx context.Context, id string, deliver func(slicc.SweepEvent)) error {
 	st, err := c.StreamSweep(ctx, id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer st.Close()
 	for {
 		ev, err := st.Next()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch ev.Type {
 		case slicc.SweepEventCell, slicc.SweepEventBaseline:
 			deliver(*ev)
 		case slicc.SweepEventError:
-			return nil, fmt.Errorf("sweep failed: %s", ev.Error)
+			return fmt.Errorf("sweep failed: %s", ev.Error)
 		case slicc.SweepEventDone:
-			sw, err := c.Sweep(ctx, id, false)
-			if err != nil {
-				return nil, err
-			}
-			if sw.Result == nil {
-				return nil, fmt.Errorf("sweep %s reported done without a result", id)
-			}
-			return sw.Result, nil
+			return nil
 		}
 	}
 }
