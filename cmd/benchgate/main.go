@@ -3,9 +3,8 @@
 // against the latest baseline point that records it, and exits non-zero
 // when a metric regresses past the tolerance.
 //
-//	go test -run '^$' -bench 'BenchmarkMachineRun|BenchmarkSweepBatch' \
-//	    -benchtime 3x ./internal/sim/ ./internal/sweep/ |
-//	  benchgate -baseline BENCH_SIM.json -tolerance 0.5 -min-batch-ratio 0.75
+//	go test -run '^$' -bench BenchmarkMachineRun -benchtime 3x ./internal/sim/ |
+//	  benchgate -baseline BENCH_SIM.json -tolerance 0.5
 //
 //	go test -run '^$' -bench 'BenchmarkStore(Cold|Warm)Run' -benchtime 3x . ;
 //	go test -run '^$' -bench . ./internal/store/ ;  # concatenated on stdin
@@ -21,11 +20,10 @@
 // hot loop), not percent-level drift.
 //
 // The ratio checks are host-independent, comparing two series from the
-// same run on the same machine: -min-batch-ratio fails when the lockstep
-// batch path regresses relative to the scalar path it must at least
-// match, and -min-warm-speedup fails when a store-warmed run is no longer
-// at least N times faster than a cold one — the guard on the store's
-// whole reason to exist, and the contract crash/resume is built on.
+// same run on the same machine: -min-warm-speedup fails when a
+// store-warmed run is no longer at least N times faster than a cold one —
+// the guard on the store's whole reason to exist, and the contract
+// crash/resume is built on.
 // -min-mem-speedup holds the store's in-memory hot tier at N times a disk
 // hit (store.BenchmarkGetHit vs BenchmarkGetHitMem), and
 // -min-respcache-speedup holds both of sliccd's warm-GET fast paths —
@@ -70,7 +68,6 @@ func main() {
 	baseline := flag.String("baseline", "BENCH_SIM.json", "comma-separated benchmark trajectory file(s) holding the recorded baselines")
 	flag.Float64Var(&g.tol, "tolerance", 0.35, "allowed fractional shortfall vs a recorded rate (0.35 = fail below 65%)")
 	flag.Float64Var(&g.timeTol, "time-tolerance", 4.0, "allowed fractional slowdown vs a recorded ns/op (4.0 = fail above 5x)")
-	flag.Float64Var(&g.minBatchRatio, "min-batch-ratio", 0, "minimum BenchmarkSweepBatch batched/scalar rate ratio (0 disables)")
 	flag.Float64Var(&g.minWarmSpeedup, "min-warm-speedup", 0, "minimum BenchmarkStoreColdRun/BenchmarkStoreWarmRun ns/op ratio (0 disables)")
 	flag.Float64Var(&g.minMemSpeedup, "min-mem-speedup", 0, "minimum BenchmarkGetHit/BenchmarkGetHitMem ns/op ratio — disk vs memory-tier store hit (0 disables)")
 	flag.Float64Var(&g.minRespSpeedup, "min-respcache-speedup", 0, "minimum BenchmarkServerWarmGet uncached/cached and uncached/notmodified ns/op ratios (0 disables)")
@@ -235,7 +232,6 @@ func num(v float64) string {
 // each disabled at 0.
 type gates struct {
 	tol, timeTol      float64
-	minBatchRatio     float64
 	minWarmSpeedup    float64
 	minMemSpeedup     float64
 	minRespSpeedup    float64
@@ -286,21 +282,6 @@ func gate(w io.Writer, results, floors map[string]benchResult, g gates) int {
 					fmt.Fprintf(w, "PASS  %s  %s %s (ceiling %s)\n", name, num(got), unit, num(ceiling))
 				}
 			}
-		}
-	}
-	if g.minBatchRatio > 0 {
-		b, okB := results["BenchmarkSweepBatch/batched"]["cells/s"]
-		s, okS := results["BenchmarkSweepBatch/scalar"]["cells/s"]
-		switch {
-		case !okB || !okS:
-			failures++
-			fmt.Fprintf(w, "FAIL  batched/scalar ratio: BenchmarkSweepBatch series missing from input\n")
-		case b < s*g.minBatchRatio:
-			failures++
-			fmt.Fprintf(w, "FAIL  batched/scalar ratio %.2f < %.2f (batched %.3f, scalar %.3f cells/s)\n",
-				b/s, g.minBatchRatio, b, s)
-		default:
-			fmt.Fprintf(w, "PASS  batched/scalar ratio %.2f (>= %.2f)\n", b/s, g.minBatchRatio)
 		}
 	}
 	if g.minWarmSpeedup > 0 {

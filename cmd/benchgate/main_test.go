@@ -11,9 +11,10 @@ pkg: slicc/internal/sim
 cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
 BenchmarkMachineRun/base-16         	       5	 221508045 ns/op	  15421476 instr/s	 4490329 B/op	     359 allocs/op
 BenchmarkMachineRun/slicc-16        	       4	 260007174 ns/op	  13142892 instr/s	 4632249 B/op	     832 allocs/op
-BenchmarkSweepBatch/batched-16      	       3	 833589463 ns/op	         5.998 cells/s
-BenchmarkSweepBatch/batched-16      	       3	 900785234 ns/op	         5.551 cells/s
-BenchmarkSweepBatch/scalar-16       	       3	 887012126 ns/op	         5.637 cells/s
+PASS
+pkg: slicc/internal/runner
+BenchmarkTinyCell-16                	      20	  10724931 ns/op	        93.24 cells/s
+BenchmarkTinyCell-16                	      20	  11584312 ns/op	        86.33 cells/s
 PASS
 `
 
@@ -28,8 +29,7 @@ const sampleBaseline = `{
       "benchmarks": {
         "BenchmarkMachineRun/base": { "ns_op": 221508045, "instr_s": 15421476 },
         "BenchmarkMachineRun/slicc": { "ns_op": 260007174, "instr_s": 13142892 },
-        "BenchmarkSweepBatch/batched": { "cells_s": 5.998 },
-        "BenchmarkSweepBatch/scalar": { "cells_s": 5.637 }
+        "BenchmarkTinyCell": { "cells_s": 93.24 }
       }
     }
   ]
@@ -93,11 +93,11 @@ func TestParseBench(t *testing.T) {
 	}
 	// -count repeats keep the best run per metric direction: the higher
 	// rate and the lower time.
-	if v := got["BenchmarkSweepBatch/batched"]["cells/s"]; v != 5.998 {
-		t.Fatalf("batched cells/s = %v, want best-of-runs 5.998", v)
+	if v := got["BenchmarkTinyCell"]["cells/s"]; v != 93.24 {
+		t.Fatalf("tiny cells/s = %v, want best-of-runs 93.24", v)
 	}
-	if v := got["BenchmarkSweepBatch/batched"]["ns/op"]; v != 833589463 {
-		t.Fatalf("batched ns/op = %v, want best-of-runs 833589463", v)
+	if v := got["BenchmarkTinyCell"]["ns/op"]; v != 10724931 {
+		t.Fatalf("tiny ns/op = %v, want best-of-runs 10724931", v)
 	}
 	if _, ok := got["BenchmarkMachineRun/base"]["B/op"]; ok {
 		t.Fatal("B/op is not a gated metric")
@@ -123,8 +123,8 @@ func TestLatestFloors(t *testing.T) {
 	if v := floors["BenchmarkMachineRun/base"]["instr/s"]; v != 15421476 {
 		t.Fatalf("base floor = %v, want the later point's 15421476", v)
 	}
-	if v := floors["BenchmarkSweepBatch/batched"]["cells/s"]; v != 5.998 {
-		t.Fatalf("batched floor = %v, want 5.998", v)
+	if v := floors["BenchmarkTinyCell"]["cells/s"]; v != 93.24 {
+		t.Fatalf("tiny floor = %v, want 93.24", v)
 	}
 }
 
@@ -151,7 +151,7 @@ func TestGate(t *testing.T) {
 	floors := loadFloors(t, sampleBaseline)
 
 	var out strings.Builder
-	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minBatchRatio: 0.75}); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0}); n != 0 {
 		t.Fatalf("clean run failed %d gate(s):\n%s", n, out.String())
 	}
 
@@ -172,19 +172,10 @@ func TestGate(t *testing.T) {
 	}
 	results["BenchmarkMachineRun/base"]["ns/op"] = 221508045
 
-	// A batched path regressing far below scalar must trip the ratio check
-	// even when its absolute floor (with tolerance) still passes.
-	results["BenchmarkSweepBatch/batched"]["cells/s"] = 5.637 * 0.70
-	out.Reset()
-	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minBatchRatio: 0.75}); n != 1 {
-		t.Fatalf("batch-ratio regression reported %d failures, want 1:\n%s", n, out.String())
-	}
-
 	// Unknown benchmarks pass (no recorded floor yet).
-	delete(floors, "BenchmarkSweepBatch/batched")
-	results["BenchmarkSweepBatch/batched"]["cells/s"] = 5.998
+	delete(floors, "BenchmarkTinyCell")
 	out.Reset()
-	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0, minBatchRatio: 0.75}); n != 0 {
+	if n := gate(&out, results, floors, gates{tol: 0.35, timeTol: 4.0}); n != 0 {
 		t.Fatalf("unknown benchmark failed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "no recorded floor") {

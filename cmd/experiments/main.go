@@ -42,8 +42,7 @@ func main() {
 		run      = flag.String("run", "all", "experiment id or 'all'")
 		sweepPth = flag.String("sweep", "", "run the parameter sweep declared in this JSON spec file ('-' reads stdin) instead of -run")
 		asCSV    = flag.Bool("csv", false, "with -sweep: emit the per-cell results as CSV")
-		nobatch  = flag.Bool("nobatch", false, "with -sweep: simulate cells one by one instead of in lockstep batches (for measuring the batching win; output is byte-identical)")
-		watch    = flag.Bool("watch", false, "with -sweep: print a progress line per finished cell on stderr (runs cells on the scalar path; output is byte-identical)")
+		watch    = flag.Bool("watch", false, "with -sweep: print a progress line per finished cell on stderr (output is byte-identical)")
 		quick    = flag.Bool("quick", false, "shrink workloads ~20x for a fast smoke run")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		tracePth = flag.String("trace", "", "replay every benchmark from this recorded trace container (see docs/TRACES.md)")
@@ -130,7 +129,7 @@ func main() {
 			os.Exit(2)
 		}
 		start := time.Now()
-		err := runSweep(engine, *sweepPth, w, *asJSON, *asCSV, *nobatch, *watch)
+		err := runSweep(engine, *sweepPth, w, *asJSON, *asCSV, *watch)
 		if *progress {
 			fmt.Fprintln(os.Stderr)
 		}
@@ -220,7 +219,7 @@ func main() {
 // the shared engine, and emits the result as an aligned table (default),
 // JSON, or CSV. With watch, every finished cell prints a progress line on
 // stderr as it lands (sliccd streams the same events over SSE).
-func runSweep(engine *slicc.Engine, path string, w io.Writer, asJSON, asCSV, nobatch, watch bool) error {
+func runSweep(engine *slicc.Engine, path string, w io.Writer, asJSON, asCSV, watch bool) error {
 	var data []byte
 	var err error
 	if path == "-" {
@@ -238,9 +237,6 @@ func runSweep(engine *slicc.Engine, path string, w io.Writer, asJSON, asCSV, nob
 		return fmt.Errorf("decoding sweep spec %s: %w", path, err)
 	}
 	runFn := engine.Sweep
-	if nobatch {
-		runFn = engine.SweepUnbatched
-	}
 	if watch {
 		runFn = func(ctx context.Context, spec slicc.SweepSpec) (*slicc.SweepResult, error) {
 			return engine.SweepStream(ctx, spec, func(ev slicc.SweepEvent) {
@@ -289,11 +285,5 @@ func reportStats(engine *slicc.Engine, start time.Time, verbose bool) {
 			float64(stats.InstructionsSimulated)/elapsed.Seconds()/1e6)
 		fmt.Fprintf(os.Stderr, "supply: %d op-stream generator passes, %d streams recorded, %d of %d machines on recycled storage\n",
 			stats.OpStreamGeneratorPasses, stats.OpStreamsRecorded, stats.MachinesRecycled, stats.SimsExecuted)
-		if stats.BatchesExecuted > 0 {
-			amort := float64(stats.BatchOpsServed) / float64(stats.BatchOpsDecoded+1)
-			fmt.Fprintf(os.Stderr, "batch: %d cells in %d lockstep batches, %d ops decoded once for %d served (%.1fx decode amortization)\n",
-				stats.CellsBatched, stats.BatchesExecuted,
-				stats.BatchOpsDecoded, stats.BatchOpsServed, amort)
-		}
 	}
 }

@@ -162,15 +162,6 @@ type EngineStats struct {
 	// InstructionsSimulated is the total instruction count across executed
 	// simulations (store/dedup hits add nothing).
 	InstructionsSimulated uint64
-	// CellsBatched / BatchesExecuted count simulations that ran inside
-	// lockstep sweep batches (a subset of SimsExecuted) and the batch
-	// passes that ran them.
-	CellsBatched, BatchesExecuted int
-	// BatchOpsDecoded counts trace ops decoded once into shared batch
-	// tables; BatchOpsServed the instructions batched simulations executed
-	// from them. Served/decoded is the decode amortization the batching
-	// bought — the scalar path decodes every served op per cell.
-	BatchOpsDecoded, BatchOpsServed uint64
 	// OpStreamGeneratorPasses counts thread op-stream generator runs
 	// started for simulations; OpStreamsRecorded the thread streams
 	// recorded in memory for later replays. A workload that the jobs of one
@@ -370,10 +361,6 @@ func (e *Engine) Stats() EngineStats {
 		WorkloadsBuilt:        s.WorkloadsBuilt,
 		WorkloadHits:          s.WorkloadHits,
 		InstructionsSimulated: s.Instructions,
-		CellsBatched:          s.JobsBatched,
-		BatchesExecuted:       s.BatchesExecuted,
-		BatchOpsDecoded:       s.BatchOpsDecoded,
-		BatchOpsServed:        s.BatchOpsServed,
 
 		OpStreamGeneratorPasses: s.OpStreamGeneratorPasses,
 		OpStreamsRecorded:       s.OpStreamsRecorded,

@@ -77,10 +77,12 @@ func (t Timing) Config() Config { return t.cfg }
 // computation is branchless on purpose — hit/miss patterns are data-
 // dependent and sit in the simulator's innermost loop; a zero latency
 // contributes an exact +0.0, so the result is bit-identical to the guarded
-// form.
+// form. Each product is rounded by an explicit conversion, which the Go
+// spec says forbids fusing it into the add: the cost is the same float64
+// on every architecture, FMA or not.
 func (t Timing) InstrCycles(imissLat, dmissLat int) float64 {
-	c := t.cfg.BaseCPI + float64(imissLat)*t.cfg.FetchBubble
-	return c + float64(dmissLat)*(1-t.cfg.DataOverlap)
+	c := t.cfg.BaseCPI + float64(float64(imissLat)*t.cfg.FetchBubble)
+	return c + float64(float64(dmissLat)*(1-t.cfg.DataOverlap))
 }
 
 // MigrationCycles returns the latency of migrating a thread whose context

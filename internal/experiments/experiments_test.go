@@ -9,7 +9,12 @@ import (
 	"slicc/internal/runner"
 )
 
-var quick = Options{Quick: true, Seed: 7}
+// pool is one GOMAXPROCS pool shared by the shape tests: each figure's
+// cells run in parallel, and simulations two figures both declare run
+// once. Results do not depend on the pool (TestParallelDeterminism).
+var pool = runner.New(runner.Options{})
+
+var quick = Options{Quick: true, Seed: 7, Pool: pool}
 
 // skipShort skips the simulation-heavy shape tests under -short; the fast
 // structural coverage (TestTableFormat, the static tables, and the tiny
@@ -137,7 +142,7 @@ func TestFigure1Shape(t *testing.T) {
 // shares converge. Skipped under -short.
 func TestFigure1FullShape(t *testing.T) {
 	skipShort(t)
-	tables, err := Figure1(Options{Threads: 64, Scale: 1, Seed: 7})
+	tables, err := Figure1(Options{Threads: 64, Scale: 1, Seed: 7, Pool: pool})
 	check(t, err)
 	tpcc := tables[0]
 	iCap, iComp := toF(t, cell(t, tpcc, 0, 4)), toF(t, cell(t, tpcc, 0, 3))

@@ -164,8 +164,8 @@ type Stats struct {
 	StoreHits int
 	// JobsRemote is how many claimed jobs were resolved by a Remote (the
 	// distributed worker fleet) rather than a local execution: the remote
-	// ran them, the shared store carried the result back. Zero outside
-	// RunEachVia.
+	// ran them, the shared store carried the result back. Zero unless a
+	// RunEachVia call passed a Remote.
 	JobsRemote int
 	// StorePuts is how many executed results were recorded in the Memo.
 	StorePuts int
@@ -178,17 +178,6 @@ type Stats struct {
 	// simulated for them). With wall-clock time it yields the pool's
 	// effective simulation rate.
 	Instructions uint64
-	// JobsBatched is how many executed jobs ran inside a lockstep batch
-	// (RunBatched families; a subset of JobsExecuted), and BatchesExecuted
-	// how many batch passes ran them.
-	JobsBatched     int
-	BatchesExecuted int
-	// BatchOpsDecoded counts ops decoded once into shared batch tables;
-	// BatchOpsServed counts instructions batched machines executed from
-	// them. Their ratio is the decode amortization: on the scalar path
-	// every served op would have been decoded (or regenerated) per cell.
-	BatchOpsDecoded uint64
-	BatchOpsServed  uint64
 	// OpStreamGeneratorPasses counts thread op-stream generator runs the
 	// pool's synthetic workloads started for replays, and OpStreamsRecorded
 	// the thread streams they finished recording for later replays (see
@@ -222,7 +211,6 @@ type Options struct {
 // pool's lifetime, so repeated jobs — within a batch, across batches, or
 // across concurrent batches — simulate once.
 type Pool struct {
-	workers    int
 	onProgress func(done, scheduled int)
 	// persist is the optional durable memoization layer (Options.Memo).
 	persist Memo
@@ -284,7 +272,6 @@ func New(opts Options) *Pool {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	return &Pool{
-		workers:    opts.Workers,
 		onProgress: opts.OnProgress,
 		persist:    opts.Memo,
 		sem:        make(chan struct{}, opts.Workers),
@@ -353,21 +340,15 @@ func (p *Pool) Close() error {
 	return firstErr
 }
 
-// Run executes jobs and returns their results in input order. Identical
-// jobs (within this batch or from any earlier Run on the pool) execute
-// once; trace-backed jobs are keyed by the content digest of their trace
-// file, so the memoization stays sound across renames and re-recordings.
-// On cancellation Run returns ctx.Err() promptly; jobs already claimed but
-// not finished are released so a later Run can retry them.
+// Run executes jobs and returns their results in input order: RunEachVia
+// with no Remote and no callback. Identical jobs (within this batch or
+// from any earlier Run on the pool) execute once; trace-backed jobs are
+// keyed by the content digest of their trace file, so the memoization
+// stays sound across renames and re-recordings. On cancellation Run
+// returns ctx.Err() promptly; jobs already claimed but not finished are
+// released so a later Run can retry them.
 func (p *Pool) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	norm, err := p.normalizeJobs(jobs)
-	if err != nil {
-		return nil, err
-	}
-	p.noteShared(norm)
-	entries, dedupped, mineJobs, mine := p.claimAll(norm)
-	p.dispatch(ctx, mineJobs, mine)
-	return p.gather(ctx, norm, entries, dedupped)
+	return p.RunEachVia(ctx, jobs, nil, nil)
 }
 
 // noteShared marks the synthetic workloads that two or more distinct jobs
@@ -376,9 +357,8 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 // during its first replay rather than prove hot first (see
 // workload.ExpectReplays). The decision rests only on how much work the
 // submitted jobs share; a job submitted alone never marks anything, so
-// lone runs keep the generator's constant memory. Run and RunEachVia call
-// it; RunBatched does not, because its families replay each thread once,
-// into the shared decoded table.
+// lone runs keep the generator's constant memory. RunEachVia calls it for
+// every local submission.
 func (p *Pool) noteShared(norm []Job) {
 	if len(norm) < 2 {
 		return
@@ -440,133 +420,6 @@ func (p *Pool) normalizeJobs(jobs []Job) ([]Job, error) {
 		norm[i] = j
 	}
 	return norm, nil
-}
-
-// claimAll claims every job in norm, returning the per-input entries, the
-// dedup markers, and the subset this caller now owns and must resolve.
-func (p *Pool) claimAll(norm []Job) (entries []*entry, dedupped []bool, mineJobs []Job, mine []*entry) {
-	p.mu.Lock()
-	p.stats.JobsRequested += len(norm)
-	p.mu.Unlock()
-	entries = make([]*entry, len(norm))
-	dedupped = make([]bool, len(norm))
-	for i, j := range norm {
-		e, claimed := p.claim(j)
-		if claimed {
-			mine = append(mine, e)
-			mineJobs = append(mineJobs, j)
-		} else {
-			dedupped[i] = true
-			p.mu.Lock()
-			p.stats.DedupHits++
-			p.mu.Unlock()
-		}
-		entries[i] = e
-	}
-	p.progress()
-	return entries, dedupped, mineJobs, mine
-}
-
-// gather resolves a claimed batch to results in input order.
-func (p *Pool) gather(ctx context.Context, norm []Job, entries []*entry, dedupped []bool) ([]Result, error) {
-	// Wait on entries owned by concurrent Run calls too. Entries
-	// that failed because a *different* Run's context was cancelled are
-	// re-claimed (the fail path evicted them from the memo) and
-	// re-dispatched as a parallel batch, so one caller's cancellation
-	// neither poisons nor serializes another's results. Only cancellation
-	// is worth retrying: a job that failed on its own (e.g. an unreadable
-	// trace file) would fail identically again.
-	for {
-		var retry []int
-		for i, e := range entries {
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if isCancellation(e.res.Err) && ctx.Err() == nil {
-				retry = append(retry, i)
-			}
-		}
-		if len(retry) == 0 {
-			break
-		}
-		var retryJobs []Job
-		var retryEntries []*entry
-		for _, i := range retry {
-			e, claimed := p.claim(norm[i])
-			entries[i] = e
-			if claimed {
-				// A job counted as a dedup hit whose owner was cancelled
-				// ends up executed by this Run after all; un-count the hit
-				// to keep JobsRequested == JobsExecuted + DedupHits.
-				if dedupped[i] {
-					dedupped[i] = false
-					p.mu.Lock()
-					p.stats.DedupHits--
-					p.mu.Unlock()
-				}
-				retryJobs = append(retryJobs, norm[i])
-				retryEntries = append(retryEntries, e)
-			}
-		}
-		if len(retryJobs) > 0 {
-			p.progress()
-			p.dispatch(ctx, retryJobs, retryEntries)
-		}
-	}
-
-	results := make([]Result, len(norm))
-	var firstErr error
-	for i, e := range entries {
-		results[i] = e.res
-		if firstErr == nil && e.res.Err != nil {
-			firstErr = e.res.Err
-		}
-	}
-	return results, firstErr
-}
-
-// dispatch executes claimed entries on up to Workers goroutines (the
-// pool-wide semaphore still bounds global concurrency) and resolves every
-// entry before returning: entries not executed because ctx was cancelled
-// are failed and released for a future retry.
-func (p *Pool) dispatch(ctx context.Context, jobs []Job, entries []*entry) {
-	if len(jobs) == 0 {
-		return
-	}
-	workers := p.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range feed {
-				p.execute(ctx, jobs[k], entries[k], nil)
-			}
-		}()
-	}
-feeding:
-	for k := range jobs {
-		select {
-		case feed <- k:
-		case <-ctx.Done():
-			break feeding
-		}
-	}
-	close(feed)
-	wg.Wait()
-	for k, e := range entries {
-		select {
-		case <-e.ready:
-		default:
-			p.fail(jobs[k], e, ctx.Err())
-		}
-	}
 }
 
 // claim returns the memo entry for j, registering a fresh in-flight entry
@@ -830,19 +683,16 @@ func (p *Pool) execSim(ctx context.Context, j Job, w *workload.Workload) Result 
 	return res
 }
 
-// retire releases finished machines' cache storage for reuse and counts
-// the ones that had themselves been built on recycled storage.
-func (p *Pool) retire(machines ...*sim.Machine) {
-	recycled := 0
-	for _, m := range machines {
-		if m.Recycled() {
-			recycled++
-		}
-		m.Release()
+// retire releases a finished machine's cache storage for reuse and counts
+// it when it had itself been built on recycled storage.
+func (p *Pool) retire(m *sim.Machine) {
+	recycled := m.Recycled()
+	m.Release()
+	if recycled {
+		p.mu.Lock()
+		p.stats.MachinesRecycled++
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	p.stats.MachinesRecycled += recycled
-	p.mu.Unlock()
 }
 
 // buildPolicy materializes a declarative policy spec against its workload.

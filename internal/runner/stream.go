@@ -1,13 +1,12 @@
 package runner
 
-// Streaming execution: RunEach is Run with a per-job completion callback,
-// the engine layer underneath streamed sweeps. Each job still goes through
-// the same claim → store-Get → execute → store-Put lifecycle (identical
-// keys, identical stats accounting, identical results), but the caller
-// learns about every completion as it lands instead of only at the end —
-// including whether the result came from the persistent store or from an
-// execution, which is what lets a resumed sweep show its replayed cells
-// instantly.
+// The job lifecycle. RunEachVia is the pool's one execution path — Run and
+// RunEach are wrappers over it. Each job goes through the same claim →
+// store-Get → execute → store-Put lifecycle in its own goroutine, and the
+// caller may learn about every completion as it lands instead of only at
+// the end — including whether the result came from the persistent store
+// or from an execution, which is what lets a resumed sweep show its
+// replayed cells instantly.
 
 import (
 	"context"
@@ -25,9 +24,9 @@ import (
 // claims for a later retry.
 //
 // Completion order is scheduling-dependent, but everything observable per
-// job — the result bytes, the store key, the stats accounting — is
-// identical to Run's, so callers stream content-deterministic events in a
-// nondeterministic order.
+// job — the result bytes, the store key, the stats accounting — is not,
+// so callers stream content-deterministic events in a nondeterministic
+// order.
 func (p *Pool) RunEach(ctx context.Context, jobs []Job, onDone func(i int, res Result, storeHit bool)) ([]Result, error) {
 	return p.RunEachVia(ctx, jobs, nil, onDone)
 }
@@ -81,11 +80,12 @@ func (p *Pool) RunEachVia(ctx context.Context, jobs []Job, remote Remote, onDone
 	return results, firstErr
 }
 
-// runOne resolves a single job through the pool's memo, mirroring what
-// claimAll+gather do for a batch: claim (or join) the entry, execute if
-// claimed, and retry entries poisoned by a *different* caller's
-// cancellation. The stats invariant JobsRequested == JobsExecuted +
-// DedupHits + StoreHits is preserved exactly as in the batch path,
+// runOne resolves a single job through the pool's memo: claim (or join)
+// the entry, execute if claimed, and retry entries poisoned by a
+// *different* caller's cancellation. Only cancellation is worth retrying:
+// a job that failed on its own (e.g. an unreadable trace file) would fail
+// identically again. The stats invariant JobsRequested == JobsExecuted +
+// DedupHits + StoreHits + JobsRemote holds at every quiescent point,
 // including the dedup un-count when a joined entry's owner is cancelled
 // and this caller ends up executing after all.
 func (p *Pool) runOne(ctx context.Context, j Job, remote Remote) (Result, bool) {

@@ -138,14 +138,6 @@ var baseFamilies = []sampled{
 		func(s snapshot) float64 { return float64(s.engine.WorkloadHits) }),
 	counter("slicc_instructions_simulated_total", "Instructions simulated across executed simulations.",
 		func(s snapshot) float64 { return float64(s.engine.InstructionsSimulated) }),
-	counter("slicc_sim_cells_batched_total", "Simulations that ran inside lockstep sweep batches.",
-		func(s snapshot) float64 { return float64(s.engine.CellsBatched) }),
-	counter("slicc_sim_batches_executed_total", "Lockstep batch passes executed.",
-		func(s snapshot) float64 { return float64(s.engine.BatchesExecuted) }),
-	counter("slicc_batch_ops_decoded_total", "Trace ops decoded once into shared lockstep batch tables.",
-		func(s snapshot) float64 { return float64(s.engine.BatchOpsDecoded) }),
-	counter("slicc_batch_ops_served_total", "Instructions batched simulations executed from shared batch tables.",
-		func(s snapshot) float64 { return float64(s.engine.BatchOpsServed) }),
 	counter("slicc_runner_op_stream_generator_passes_total",
 		"Thread op-stream generator runs started for simulations (one per thread of a workload its submission's jobs share).",
 		func(s snapshot) float64 { return float64(s.engine.OpStreamGeneratorPasses) }),

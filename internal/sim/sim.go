@@ -513,47 +513,33 @@ const opBatchLen = 256
 // TestEventHorizonMatchesReference).
 func (m *Machine) RunContext(ctx context.Context) (Result, error) {
 	done := ctx.Done()
-	m.start()
-	if m.referenceLoop {
-		return m.runReference(ctx, done)
-	}
-	if _, cancelled := m.runLoop(done, math.MaxUint64); cancelled {
-		m.aborted = true
-		return m.result(), ctx.Err()
-	}
-	return m.result(), nil
-}
-
-// start wires the policy to the machine and fills the cores: what every
-// run does before its loop.
-func (m *Machine) start() {
 	m.policy.Attach(m, m.threads)
 	m.enqueue, _ = m.policy.(enqueuer)
 	if !m.referenceLoop && m.cfg.MaxInstructions == 0 {
 		m.quiet, _ = m.policy.(QuietRunObserver)
 	}
 	m.fillIdleCores()
+	if m.referenceLoop {
+		return m.runReference(ctx, done)
+	}
+	if m.runLoop(done) {
+		m.aborted = true
+		return m.result(), ctx.Err()
+	}
+	return m.result(), nil
 }
 
-// runLoop advances the event-horizon scheduler until the first step at or
-// past budget instructions (a step retires one instruction and the quiet
-// run behind it, so a call may overshoot the budget by a run). It returns
-// finished=true when the machine has no work left — every thread done, or
-// the MaxInstructions abort tripped (m.aborted distinguishes) — and
-// cancelled=true when the done channel fired at a poll point. Both false
-// means the budget ran out with work remaining; all loop state lives in
-// the Machine and the queue is left consistent, so a later call resumes at
-// exactly the instruction this one stopped before. RunBatch's lockstep
-// quanta rest on that resumability, which is why the budget checks sit on
-// the post-step paths rather than a cheaper outer wrapper.
-func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancelled bool) {
+// runLoop runs the event-horizon scheduler until the machine has no work
+// left — every thread done, or the MaxInstructions abort tripped
+// (m.aborted distinguishes) — and reports whether it stopped early
+// because the done channel fired at a poll point instead.
+func (m *Machine) runLoop(done <-chan struct{}) (cancelled bool) {
 	steps := uint64(0)
-	first := m.instr
 	for {
 		if done != nil && steps&cancelCheckMask == 0 {
 			select {
 			case <-done:
-				return false, true
+				return true
 			default:
 			}
 		}
@@ -561,7 +547,7 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 			// Round exhausted: the stepped cores become the next round.
 			if len(m.fut) == 0 {
 				if !m.fillIdleCores() {
-					return true, false
+					return false
 				}
 				continue
 			}
@@ -594,7 +580,7 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 				if done != nil && steps&cancelCheckMask == 0 {
 					select {
 					case <-done:
-						return false, true
+						return true
 					default:
 					}
 				}
@@ -602,29 +588,20 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 				sched := m.step(c)
 				if m.cfg.MaxInstructions > 0 && m.instr >= m.cfg.MaxInstructions {
 					m.aborted = true
-					return true, false
+					return false
 				}
 				if sched {
 					break
 				}
 				ct := m.cores[c].time
 				if ct < hz.t || (ct == hz.t && root.c < hz.c) {
-					if m.instr-first < budget {
-						continue
-					}
-					// Budget exhausted mid-streak: the heap root's key is
-					// stale (that staleness is the streak optimization), so
-					// re-sync it before pausing to leave a resumable queue.
-					m.fut[0].t = ct
-					m.siftDown(0)
-					return false, false
+					continue
 				}
+				// Crossed the horizon: the heap root's key is stale (that
+				// staleness is the streak optimization), so re-sync it.
 				m.fut[0].t = ct
 				m.siftDown(0)
 				break
-			}
-			if m.instr-first >= budget {
-				return false, false
 			}
 			continue
 		}
@@ -635,7 +612,7 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 		sched := m.step(c)
 		if m.cfg.MaxInstructions > 0 && m.instr >= m.cfg.MaxInstructions {
 			m.aborted = true
-			return true, false
+			return false
 		}
 		if !sched {
 			// Still running: rejoin the queue with the advanced clock.
@@ -644,9 +621,6 @@ func (m *Machine) runLoop(done <-chan struct{}, budget uint64) (finished, cancel
 			m.futPush(heapEntry{t: m.cores[c].time, c: e.c})
 		}
 		m.floating = -1
-		if m.instr-first >= budget {
-			return false, false
-		}
 	}
 }
 

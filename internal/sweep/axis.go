@@ -155,11 +155,14 @@ func (a *FloatAxis) UnmarshalJSON(b []byte) error {
 		// Values are computed as from + i*step (not accumulated), with a
 		// step-relative tolerance and endpoint snapping, so the documented
 		// inclusive "to" endpoint is never lost to float drift (0.1+0.1+0.1
-		// > 0.3 must still yield [0.1, 0.2, 0.3]).
-		eps := r.Step * 1e-9
+		// > 0.3 must still yield [0.1, 0.2, 0.3]). The explicit float64
+		// conversions round each product, so no architecture fuses it into
+		// the add: the values, and the job keys they feed, are the same
+		// everywhere.
+		eps := float64(r.Step * 1e-9)
 		var vs []float64
 		for i := 0; ; i++ {
-			v := *r.From + float64(i)*r.Step
+			v := *r.From + float64(float64(i)*r.Step)
 			if v > *r.To+eps {
 				break
 			}

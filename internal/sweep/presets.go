@@ -20,7 +20,8 @@ func mustIntRange(from, to, step int) IntAxis {
 // their cells expand to the same runner jobs the corresponding
 // internal/experiments figure declares (full size, seed 1), so a store
 // warmed by `experiments -run fig7` answers the fig7-thresholds sweep
-// without executing a single simulation — and vice versa.
+// without executing a single simulation — and vice versa
+// (TestFigurePresetsMatchFigures).
 var presets = map[string]Spec{
 	// Figure 7 (Section 5.2): fill-up_t x matched_t with the dilution gate
 	// disabled and idealized (exact, uncharged) remote search.

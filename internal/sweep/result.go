@@ -5,11 +5,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"log/slog"
 	"strconv"
 
 	"slicc/internal/runner"
-	"slicc/internal/telemetry"
 )
 
 // CellResult is one expanded cell with its measured metrics. Speedup is
@@ -52,47 +50,11 @@ func (r *Result) Best() *CellResult {
 // Run expands the spec and executes it on the pool: one runner job per cell
 // plus one baseline reference per (workload, machine) group, all submitted
 // as a single batch so the pool's dedup and persistent store collapse
-// repeats. Cells sharing a workload run as lockstep batches
-// (runner.RunBatched): the op stream is decoded once per family instead of
-// once per cell, with results byte-identical to scalar execution. Results
-// are aggregated into a Result whose cell order — and therefore whose
+// repeats. It is RunStreamVia with no Remote and no emit. Results are
+// aggregated into a Result whose cell order — and therefore whose
 // JSON/CSV/table output — depends only on the spec.
 func Run(ctx context.Context, pool *runner.Pool, spec Spec) (*Result, error) {
-	return run(ctx, pool, spec, true)
-}
-
-// RunUnbatched is Run on the scalar path: every cell simulates alone. It
-// exists for measuring the batching win (BenchmarkSweepBatch) and for
-// differential tests; results are byte-identical to Run's.
-func RunUnbatched(ctx context.Context, pool *runner.Pool, spec Spec) (*Result, error) {
-	return run(ctx, pool, spec, false)
-}
-
-func run(ctx context.Context, pool *runner.Pool, spec Spec, batched bool) (*Result, error) {
-	norm, err := spec.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	ex, err := norm.expand()
-	if err != nil {
-		return nil, err
-	}
-	jobs := make([]runner.Job, 0, len(ex.jobs)+len(ex.baseJobs))
-	jobs = append(jobs, ex.jobs...)
-	jobs = append(jobs, ex.baseJobs...)
-	ctx, sp := telemetry.StartSpan(ctx, "sweep.run",
-		slog.Int("cells", len(ex.cells)), slog.Int("jobs", len(jobs)))
-	defer sp.End()
-	var rs []runner.Result
-	if batched {
-		rs, err = pool.RunBatched(ctx, jobs)
-	} else {
-		rs, err = pool.Run(ctx, jobs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return aggregate(norm, ex, rs), nil
+	return RunStreamVia(ctx, pool, spec, nil, nil)
 }
 
 // cellResult converts one runner result into a cell's metrics row (Speedup
@@ -110,8 +72,8 @@ func cellResult(c Cell, rr runner.Result) CellResult {
 }
 
 // aggregate assembles the final Result from the full job results (cells
-// first, then baseline references — the job order run and RunStream both
-// submit). It is pure, so the batched, scalar, and streamed paths produce
+// first, then baseline references — the job order RunStreamVia submits).
+// It is pure, so a local, distributed or store-warmed run produces
 // identical Results from identical runner results.
 func aggregate(norm Spec, ex *expansion, rs []runner.Result) *Result {
 	res := &Result{

@@ -63,11 +63,6 @@ type Event struct {
 // the Speedup it reports is final, every index is emitted exactly once,
 // and Completed increments 1..Total across cell events. emit is called
 // serially. The returned Result is identical to Run's for the same spec.
-//
-// Cells run on the scalar path (no lockstep batching): post-PR 4 batching
-// buys parity rather than speedup — the op stream is already memoized for
-// scalar cells — and per-cell completion is the point here. Store keys are
-// identical either way, so streamed and batched sweeps cross-warm.
 func RunStream(ctx context.Context, pool *runner.Pool, spec Spec, emit func(Event)) (*Result, error) {
 	return RunStreamVia(ctx, pool, spec, nil, emit)
 }

@@ -222,7 +222,9 @@ func (s *threadSource) attachData(op *trace.Op) {
 		// only a handful of blocks are hot, so a migration re-fetches few
 		// private blocks (the paper's D-MPKI rises only ~1-11%).
 		blocks := s.prof.privBytes / blockBytes
-		b := uint64(s.rng.ExpFloat64() * s.prof.privSkew)
+		// The float64 conversion rounds the product before the integer
+		// conversion, so no architecture fuses the two.
+		b := uint64(float64(s.rng.ExpFloat64() * s.prof.privSkew))
 		if b >= blocks {
 			b = blocks - 1
 		}

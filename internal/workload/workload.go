@@ -329,10 +329,6 @@ type Workload struct {
 	// sourceFor).
 	oc opCache
 
-	// bt is the fully-decoded op table lockstep batches replay from (see
-	// BatchThreads in batch.go), built once on first use.
-	bt batchTable
-
 	// container is the open trace file backing a Recorded workload (nil
 	// for synthetic workloads). It is held for the workload's lifetime:
 	// every thread's New streams from it.

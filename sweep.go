@@ -72,41 +72,20 @@ func SweepPresets() []string { return sweep.Presets() }
 // with the engine's full memoization stack: cells identical to earlier
 // simulations — from other sweeps, experiments, Run calls, or the
 // persistent store — do not execute again, and a store-warmed rerun of a
-// whole sweep executes nothing. Cells that share a workload run as
-// lockstep batches — one pass decodes the op stream once for the whole
-// family — with results byte-identical to scalar execution (store keys
-// included, so batched and unbatched runs warm each other). Output is
-// deterministic for a given spec at any worker count. Cancelling ctx
-// aborts in-flight cells.
+// whole sweep executes nothing. On a distributed engine cells that miss
+// the store run on the worker fleet. Output is deterministic for a given
+// spec at any worker count. Cancelling ctx aborts in-flight cells.
 func (e *Engine) Sweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
-	if e.remote != nil {
-		// Distributed engines run every sweep through the streaming remote
-		// path (cells enqueue to the fleet); results are identical by the
-		// RunStream contract, so callers cannot tell except for where the
-		// work ran.
-		return sweep.RunStreamVia(ctx, e.pool, spec, e.remote, nil)
-	}
-	return sweep.Run(ctx, e.pool, spec)
-}
-
-// SweepUnbatched is Sweep on the scalar path: every cell simulates alone.
-// It exists to measure the lockstep batching win (and to cross-check it —
-// results, store keys and table output are byte-identical to Sweep's);
-// there is no other reason to prefer it.
-func (e *Engine) SweepUnbatched(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
-	return sweep.RunUnbatched(ctx, e.pool, spec)
+	return sweep.RunStreamVia(ctx, e.pool, spec, e.remote, nil)
 }
 
 // SweepStream is Sweep with a per-cell completion callback: emit receives
 // one event per finished cell and baseline as it lands. Emission order is
 // scheduling-dependent but event content is deterministic — a cell's event
 // waits for its group baseline, so the Speedup it carries is final — and
-// the returned result is identical to Sweep's. Cells run on the scalar
-// path (per-cell completion is the point; lockstep batching buys parity,
-// not speedup, since the op stream is already memoized) with unchanged
-// store keys, so streamed and batched sweeps warm each other. A
-// store-warmed rerun — the resume case — replays every cell instantly with
-// StoreHit set. emit is called serially and must return promptly.
+// the returned result is identical to Sweep's. A store-warmed rerun — the
+// resume case — replays every cell instantly with StoreHit set. emit is
+// called serially and must return promptly.
 func (e *Engine) SweepStream(ctx context.Context, spec SweepSpec, emit func(SweepEvent)) (*SweepResult, error) {
 	return sweep.RunStreamVia(ctx, e.pool, spec, e.remote, emit)
 }

@@ -19,8 +19,8 @@ import (
 // store entries. If this fails after adding a policy, mirror the change in
 // internal/sweep's policyDefs. (ExactSearch is deliberately absent: the
 // sweep's flag means Figure 7's exact-and-uncharged idealization, which
-// public Params does not express; TestPresets plus the fig7 cross-warm CI
-// check cover that mapping.)
+// public Params does not express; internal/sweep's
+// TestFigurePresetsMatchFigures covers that mapping.)
 func TestSweepJobsMatchPublicConfig(t *testing.T) {
 	params := []Params{
 		{},
