@@ -77,11 +77,12 @@ func TestResetStats(t *testing.T) {
 func TestPropLatencyBounds(t *testing.T) {
 	torus := noc.New(4, 4, 1)
 	h := New(Config{}, torus)
+	const diameter = 4 // 4x4 torus: 4/2 + 4/2 hops
 	f := func(core uint8, addr uint32) bool {
 		c := int(core) % 16
 		lat := h.FetchLatency(c, uint64(addr))
 		min := h.cfg.L2HitLatency
-		max := h.cfg.L2HitLatency + h.cfg.MemLatency + 2*torus.MaxDistance()
+		max := h.cfg.L2HitLatency + h.cfg.MemLatency + 2*diameter
 		return lat >= min && lat <= max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

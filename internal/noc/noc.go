@@ -144,11 +144,6 @@ func (t *Torus) Broadcast(src int, search bool) int {
 	return t.bcastLat[src]
 }
 
-// MaxDistance returns the torus diameter in hops.
-func (t *Torus) MaxDistance() int {
-	return t.width/2 + t.height/2
-}
-
 // Stats returns a copy of the accumulated traffic counters.
 func (t *Torus) Stats() Stats { return t.stats }
 

@@ -25,9 +25,23 @@ func TestDistanceBasics(t *testing.T) {
 	}
 }
 
+// maxDistance returns the torus diameter in hops: the largest Distance
+// between any two nodes.
+func maxDistance(tr *Torus) int {
+	d := 0
+	for a := 0; a < tr.Nodes(); a++ {
+		for b := 0; b < tr.Nodes(); b++ {
+			d = max(d, tr.Distance(a, b))
+		}
+	}
+	return d
+}
+
 func TestMaxDistance(t *testing.T) {
-	if got := New(4, 4, 1).MaxDistance(); got != 4 {
-		t.Fatalf("MaxDistance = %d, want 4", got)
+	for _, c := range []struct{ w, h, want int }{{4, 4, 4}, {5, 3, 3}, {8, 2, 5}} {
+		if got := maxDistance(New(c.w, c.h, 1)); got != c.want {
+			t.Errorf("%dx%d torus diameter = %d, want %d", c.w, c.h, got, c.want)
+		}
 	}
 }
 
@@ -53,8 +67,8 @@ func TestPeekLatencyDoesNotAccount(t *testing.T) {
 func TestBroadcast(t *testing.T) {
 	tr := New(4, 4, 1)
 	lat := tr.Broadcast(0, true)
-	if lat != tr.MaxDistance() {
-		t.Fatalf("broadcast latency %d, want diameter %d", lat, tr.MaxDistance())
+	if lat != maxDistance(tr) {
+		t.Fatalf("broadcast latency %d, want diameter %d", lat, maxDistance(tr))
 	}
 	st := tr.Stats()
 	if st.Broadcasts != 1 || st.SearchBroadcasts != 1 {
@@ -93,13 +107,14 @@ func TestPanicsOnBadInput(t *testing.T) {
 // and zero iff a == b.
 func TestPropDistanceMetric(t *testing.T) {
 	tr := New(4, 4, 1)
+	diameter := maxDistance(tr)
 	f := func(a, b uint8) bool {
 		x, y := int(a)%16, int(b)%16
 		d := tr.Distance(x, y)
 		if d != tr.Distance(y, x) {
 			return false
 		}
-		if d < 0 || d > tr.MaxDistance() {
+		if d < 0 || d > diameter {
 			return false
 		}
 		return (d == 0) == (x == y)

@@ -38,7 +38,9 @@ const jobKeyVersion = "slicc-job-v1"
 // JobKey returns the stable content key of a job: a hex SHA-256 over a
 // versioned, canonical encoding of the normalized job. Two jobs that
 // describe the same simulation — including differently spelled defaults —
-// have equal keys; any semantic difference changes the key.
+// have equal keys; any semantic difference changes the key. The pool
+// computes it once per unique job of a call, on the dispatcher that takes
+// the job, and keys its in-memory memo by it as well as the Memo.
 //
 // Trace-driven jobs must carry Workload.TraceDigest (the runner resolves it
 // before keying): the key then covers the trace's *contents*, so renaming a

@@ -3,7 +3,8 @@
 // every simulation in the paper's evaluation is a pure function of
 // (workload config, machine config, policy), so jobs are declared as plain
 // comparable values, deduplicated by content, memoized across batches, and
-// executed on GOMAXPROCS workers with context cancellation.
+// resolved by a fixed set of dispatcher goroutines (Options.Workers,
+// default GOMAXPROCS) with context cancellation.
 //
 // The contract that makes this safe:
 //
@@ -151,7 +152,8 @@ func isCancellation(err error) bool {
 
 // Stats counts the pool's work since creation.
 type Stats struct {
-	// JobsRequested is the total jobs passed to Run.
+	// JobsRequested is the total jobs passed to Run, less those that failed
+	// or were cancelled.
 	JobsRequested int
 	// JobsExecuted is how many simulations actually ran.
 	JobsExecuted int
@@ -194,7 +196,9 @@ type Stats struct {
 
 // Options configures a pool.
 type Options struct {
-	// Workers bounds concurrent job executions (default GOMAXPROCS).
+	// Workers bounds concurrent job executions (default GOMAXPROCS) and is
+	// the number of dispatcher goroutines each Run call resolves its jobs
+	// on.
 	Workers int
 	// OnProgress, if set, is called (without any pool lock held) as jobs
 	// are scheduled and as they finish, with the pool-lifetime completed
@@ -210,6 +214,17 @@ type Options struct {
 // Pool runs jobs on a bounded set of workers and memoizes results for the
 // pool's lifetime, so repeated jobs — within a batch, across batches, or
 // across concurrent batches — simulate once.
+//
+// Each Run call resolves its jobs on Options.Workers dispatcher
+// goroutines, not one goroutine per job. Identical jobs of one call run
+// once, and every duplicate completes the moment the first does. The
+// dispatchers take a call's jobs in workload-occurrence order, every
+// workload's first job before any workload's second, so two replays of
+// one recorded workload start apart instead of contending at the
+// recording's frontier (trace.Tee). A dispatcher resolves inline a memo
+// entry already done, a store hit and a local execution; a remote
+// execution and a wait on an entry another call holds get a goroutine of
+// their own, since they hold no CPU.
 type Pool struct {
 	onProgress func(done, scheduled int)
 	// persist is the optional durable memoization layer (Options.Memo).
@@ -218,11 +233,13 @@ type Pool struct {
 	// calls share the budget instead of multiplying it.
 	sem chan struct{}
 
-	mu        sync.Mutex
-	memo      map[Job]*entry
+	mu sync.Mutex
+	// memo holds every job's entry under its JobKey, computed once per
+	// unique job of a call.
+	memo      map[string]*entry
 	workloads map[workload.Config]*wlEntry
 	// shared holds the synthetic workloads some submitted batch named in
-	// two or more distinct jobs (see noteShared).
+	// two or more distinct jobs (see call.plan).
 	shared map[workload.Config]bool
 	// retiredPasses/retiredRecorded carry the op-stream counters of
 	// workloads Close evicted, so Stats stays cumulative.
@@ -258,6 +275,16 @@ type entry struct {
 	storeHit bool
 }
 
+// done reports whether e's result is valid.
+func (e *entry) done() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
+}
+
 // wlEntry is a memoized (possibly in-flight) workload synthesis or trace
 // open.
 type wlEntry struct {
@@ -275,7 +302,7 @@ func New(opts Options) *Pool {
 		onProgress: opts.OnProgress,
 		persist:    opts.Memo,
 		sem:        make(chan struct{}, opts.Workers),
-		memo:       make(map[Job]*entry),
+		memo:       make(map[string]*entry),
 		workloads:  make(map[workload.Config]*wlEntry),
 		shared:     make(map[workload.Config]bool),
 		digests:    make(map[string]digestEntry),
@@ -351,47 +378,6 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) ([]Result, error) {
 	return p.RunEachVia(ctx, jobs, nil, nil)
 }
 
-// noteShared marks the synthetic workloads that two or more distinct jobs
-// of one submitted (normalized) batch name: their threads are about to be
-// replayed more than once, so Workload tells them to record each op stream
-// during its first replay rather than prove hot first (see
-// workload.ExpectReplays). The decision rests only on how much work the
-// submitted jobs share; a job submitted alone never marks anything, so
-// lone runs keep the generator's constant memory. RunEachVia calls it for
-// every local submission.
-func (p *Pool) noteShared(norm []Job) {
-	if len(norm) < 2 {
-		return
-	}
-	// A workload has two distinct jobs iff some job naming it differs from
-	// the first that did: one small-keyed map and a struct compare per job,
-	// no hashing of whole Jobs.
-	const marked = -1
-	first := make(map[workload.Config]int, len(norm)) // -> index of its first job
-	var shared []workload.Config
-	for i := range norm {
-		wl := norm[i].Workload
-		if wl.TraceDigest != "" {
-			continue
-		}
-		switch k, ok := first[wl]; {
-		case !ok:
-			first[wl] = i
-		case k != marked && norm[k] != norm[i]:
-			first[wl] = marked
-			shared = append(shared, wl)
-		}
-	}
-	if len(shared) == 0 {
-		return
-	}
-	p.mu.Lock()
-	for _, wl := range shared {
-		p.shared[wl] = true
-	}
-	p.mu.Unlock()
-}
-
 // normalizeJobs normalizes a batch (including trace-digest resolution)
 // before anything is claimed: a digest failure must be able to return
 // early, and an early return after a claim would orphan the claimed
@@ -422,70 +408,72 @@ func (p *Pool) normalizeJobs(jobs []Job) ([]Job, error) {
 	return norm, nil
 }
 
-// claim returns the memo entry for j, registering a fresh in-flight entry
-// (claimed=true) when none exists; the caller that claimed it must resolve
-// it via execute or fail.
-func (p *Pool) claim(j Job) (e *entry, claimed bool) {
+// claim returns the memo entry for key, registering a fresh in-flight
+// entry (claimed=true) when none exists; the caller that claimed it must
+// resolve it via lookup, execute, executeRemote or fail. planned marks a
+// dispatcher's first claim of a job its call already counted as
+// scheduled: a fresh claim keeps that count, a join gives it back.
+func (p *Pool) claim(key string, planned bool) (e *entry, claimed bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e, ok := p.memo[j]; ok {
+	if e, ok := p.memo[key]; ok {
+		if planned {
+			p.scheduled--
+		}
 		return e, false
 	}
 	e = &entry{ready: make(chan struct{})}
-	p.memo[j] = e
-	p.scheduled++
+	p.memo[key] = e
+	if !planned {
+		p.scheduled++
+	}
 	return e, true
 }
 
-// execute runs one claimed job and publishes its result. It blocks on the
-// pool-wide worker semaphore, so total concurrency stays at Options.Workers
-// no matter how many Run calls are in flight.
-//
-// The persistent Memo sits directly under the claim: only the one claimant
-// of a job looks it up (concurrent identical jobs cost one disk read), a
-// hit publishes without ever taking a worker slot, and a miss executes and
-// records the result for every future process.
-//
-// A non-nil remote diverts the miss path to the worker fleet (see
-// executeRemote); the store-hit fast path above it is unchanged, which is
-// what makes distributed reruns replay instantly.
-func (p *Pool) execute(ctx context.Context, j Job, e *entry, remote Remote) {
-	var key string
-	if p.persist != nil {
-		key = JobKey(j)
-		if res, ok := p.persist.Get(key); ok {
-			p.mu.Lock()
-			p.stats.StoreHits++
-			p.done++
-			p.mu.Unlock()
-			e.res = res
-			e.storeHit = true
-			close(e.ready)
-			p.progress()
-			return
-		}
+// lookup resolves a claimed entry from the persistent Memo when it holds
+// key. The Memo sits directly under the claim: only the one claimant of a
+// job looks it up (concurrent identical jobs cost one disk read), and a
+// hit publishes without ever taking a worker slot. A fleet replay takes
+// this path before any remote execution, which is what makes distributed
+// reruns replay instantly.
+func (p *Pool) lookup(key string, e *entry) bool {
+	if p.persist == nil {
+		return false
 	}
-	// Trace-driven jobs stay local defensively: their payload carries only
-	// the content digest, which a remote worker cannot resolve back to a
-	// readable file. Sweep cells are always synthetic.
-	if remote != nil && j.Workload.TraceDigest == "" {
-		p.executeRemote(ctx, j, e, remote, key)
-		return
+	res, ok := p.persist.Get(key)
+	if !ok {
+		return false
 	}
+	p.mu.Lock()
+	p.stats.StoreHits++
+	p.done++
+	p.mu.Unlock()
+	e.res = res
+	e.storeHit = true
+	close(e.ready)
+	p.progress()
+	return true
+}
+
+// execute runs one claimed job that missed the persistent Memo, records
+// its result there for every future process, and publishes it. It blocks
+// on the pool-wide worker semaphore, so total concurrency stays at
+// Options.Workers no matter how many Run calls are in flight.
+func (p *Pool) execute(ctx context.Context, j Job, key string, e *entry) {
 	select {
 	case p.sem <- struct{}{}:
 	case <-ctx.Done():
-		p.fail(j, e, ctx.Err())
+		p.fail(key, e, ctx.Err())
 		return
 	}
 	defer func() { <-p.sem }()
 	if err := ctx.Err(); err != nil {
-		p.fail(j, e, err)
+		p.fail(key, e, err)
 		return
 	}
 	res := p.exec(ctx, j)
 	if res.Err != nil {
-		p.fail(j, e, res.Err)
+		p.fail(key, e, res.Err)
 		return
 	}
 	if p.persist != nil {
@@ -510,20 +498,20 @@ func (p *Pool) execute(ctx context.Context, j Job, e *entry, remote Remote) {
 // job whose result is missing is an error, not a silent re-execution.
 // Remote jobs never take a local worker slot: the control plane's
 // concurrency is bounded by the fleet, not by its own -j.
-func (p *Pool) executeRemote(ctx context.Context, j Job, e *entry, remote Remote, key string) {
+func (p *Pool) executeRemote(ctx context.Context, j Job, key string, e *entry, remote Remote) {
 	payload, err := json.Marshal(j)
 	if err != nil {
 		// Job is a tree of plain exported value fields; Marshal cannot fail.
-		p.fail(j, e, fmt.Errorf("runner: encoding job for remote execution: %w", err))
+		p.fail(key, e, fmt.Errorf("runner: encoding job for remote execution: %w", err))
 		return
 	}
 	if err := remote.Execute(ctx, key, payload); err != nil {
-		p.fail(j, e, err)
+		p.fail(key, e, err)
 		return
 	}
 	res, ok := p.persist.Get(key)
 	if !ok {
-		p.fail(j, e, fmt.Errorf("runner: remote completed job %s but its result is not in the store", key))
+		p.fail(key, e, fmt.Errorf("runner: remote completed job %s but its result is not in the store", key))
 		return
 	}
 	p.mu.Lock()
@@ -537,13 +525,13 @@ func (p *Pool) executeRemote(ctx context.Context, j Job, e *entry, remote Remote
 
 // fail publishes an error result and evicts the entry so a later Run
 // re-executes the job instead of replaying the cancellation.
-func (p *Pool) fail(j Job, e *entry, err error) {
+func (p *Pool) fail(key string, e *entry, err error) {
 	if err == nil {
 		err = context.Canceled
 	}
 	p.mu.Lock()
-	if p.memo[j] == e {
-		delete(p.memo, j)
+	if p.memo[key] == e {
+		delete(p.memo, key)
 	}
 	p.scheduled--
 	p.mu.Unlock()

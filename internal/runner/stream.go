@@ -1,17 +1,23 @@
 package runner
 
 // The job lifecycle. RunEachVia is the pool's one execution path — Run and
-// RunEach are wrappers over it. Each job goes through the same claim →
-// store-Get → execute → store-Put lifecycle in its own goroutine, and the
-// caller may learn about every completion as it lands instead of only at
-// the end — including whether the result came from the persistent store
+// RunEach are wrappers over it. A call plans its jobs in one pass, then a
+// fixed set of Options.Workers dispatcher goroutines takes its unique jobs
+// through the same claim → store-Get → execute → store-Put lifecycle, and
+// the caller may learn about every completion as it lands instead of only
+// at the end — including whether the result came from the persistent store
 // or from an execution, which is what lets a resumed sweep show its
 // replayed cells instantly.
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
+
+	"slicc/internal/workload"
 )
 
 // RunEach executes jobs like Run and returns their results in input order,
@@ -47,77 +53,240 @@ func (p *Pool) RunEachVia(ctx context.Context, jobs []Job, remote Remote, onDone
 	if err != nil {
 		return nil, err
 	}
-	if remote == nil {
-		// Remote misses execute elsewhere; this pool builds no workloads.
-		p.noteShared(norm)
-	}
-	results := make([]Result, len(norm))
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for i := range norm {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, storeHit := p.runOne(ctx, norm[i], remote)
-			mu.Lock()
-			results[i] = res
-			if firstErr == nil && res.Err != nil {
-				firstErr = res.Err
-			}
-			mu.Unlock()
-			if res.Err == nil && onDone != nil {
-				onDone(i, res, storeHit)
-			}
-		}(i)
-	}
-	wg.Wait()
+	c := &call{p: p, ctx: ctx, norm: norm, remote: remote, onDone: onDone, results: make([]Result, len(norm))}
+	c.plan()
+	c.run()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return results, firstErr
+	return c.results, c.firstErr
 }
 
-// runOne resolves a single job through the pool's memo: claim (or join)
-// the entry, execute if claimed, and retry entries poisoned by a
-// *different* caller's cancellation. Only cancellation is worth retrying:
-// a job that failed on its own (e.g. an unreadable trace file) would fail
-// identically again. The stats invariant JobsRequested == JobsExecuted +
-// DedupHits + StoreHits + JobsRemote holds at every quiescent point,
-// including the dedup un-count when a joined entry's owner is cancelled
-// and this caller ends up executing after all.
-func (p *Pool) runOne(ctx context.Context, j Job, remote Remote) (Result, bool) {
+// call is one RunEachVia invocation.
+type call struct {
+	p      *Pool
+	ctx    context.Context
+	norm   []Job
+	remote Remote
+	onDone func(i int, res Result, storeHit bool)
+
+	// dups[i] lists the later indices of jobs identical to job i, for i
+	// the first occurrence; order lists those first occurrences in
+	// dispatch order, and next is the position in order of the next one a
+	// dispatcher takes.
+	dups  [][]int
+	order []int
+	next  atomic.Int64
+
+	// wg counts the dispatchers and the goroutines they hand jobs to.
+	wg sync.WaitGroup
+	// results is written once per index, by whichever goroutine resolves
+	// that index's job, and read after wg.Wait.
+	results  []Result
+	mu       sync.Mutex
+	firstErr error
+}
+
+// plan is the call's one pass over its normalized jobs. It groups
+// identical jobs under their first occurrence, so each runs once and its
+// duplicates resolve the moment it does. It orders the unique jobs by
+// workload occurrence: every workload's first job, then every workload's
+// second, and so on, by index within a rank. Two jobs over one workload
+// replay one recording (trace.Tee), and readers at its frontier take
+// turns on the tee's lock, so starting them apart keeps them from
+// colliding there, as index order — a sweep's cells of one workload
+// side by side — would make them.
+//
+// For a local call, plan also marks the synthetic workloads that two or
+// more distinct jobs name: their threads are about to be replayed more
+// than once, so Workload tells them to record each op stream during its
+// first replay rather than prove hot first (see workload.ExpectReplays).
+// The decision rests only on how much work the submitted jobs share; a
+// job submitted alone never marks anything, so lone runs keep the
+// generator's constant memory. Remote misses execute elsewhere, so a
+// remote call builds no workloads and marks none.
+//
+// Duplicates are found by comparing jobs that name one workload — a
+// small-keyed map and a struct compare per job, no hashing of whole Jobs.
+func (c *call) plan() {
+	// firsts maps each workload to the first occurrences of its distinct
+	// jobs; a job's rank is its position there.
+	firsts := make(map[workload.Config][]int)
+	rank := make([]int, len(c.norm))
+	c.dups = make([][]int, len(c.norm))
+	for i := range c.norm {
+		wl := c.norm[i].Workload
+		fs := firsts[wl]
+		if k := slices.IndexFunc(fs, func(f int) bool { return c.norm[f] == c.norm[i] }); k >= 0 {
+			c.dups[fs[k]] = append(c.dups[fs[k]], i)
+			continue
+		}
+		rank[i] = len(fs)
+		firsts[wl] = append(fs, i)
+		c.order = append(c.order, i)
+	}
+	slices.SortStableFunc(c.order, func(a, b int) int { return cmp.Compare(rank[a], rank[b]) })
+
+	p := c.p
 	p.mu.Lock()
-	p.stats.JobsRequested++
-	p.mu.Unlock()
-	counted := false // a dedup hit currently counted for this job
-	for {
-		e, claimed := p.claim(j)
-		if claimed {
-			if counted {
-				counted = false
-				p.mu.Lock()
-				p.stats.DedupHits--
-				p.mu.Unlock()
+	// Requests and schedulings are counted up front, so progress reads
+	// against the call's whole size; resolve and finish settle both.
+	p.stats.JobsRequested += len(c.norm)
+	p.scheduled += len(c.order)
+	if c.remote == nil {
+		for wl, fs := range firsts {
+			if len(fs) >= 2 && wl.TraceDigest == "" {
+				p.shared[wl] = true
 			}
-			p.progress()
-			p.execute(ctx, j, e, remote)
-		} else if !counted {
-			counted = true
-			p.mu.Lock()
-			p.stats.DedupHits++
-			p.mu.Unlock()
 		}
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return Result{Err: ctx.Err()}, false
+	}
+	p.mu.Unlock()
+	if len(c.order) > 0 {
+		p.progress()
+	}
+}
+
+// run resolves the planned jobs on min(Workers, unique jobs) dispatchers
+// and waits for every one, including those handed to goroutines of their
+// own. Jobs a cancellation left undispatched give back the requests and
+// schedulings plan counted for them.
+func (c *call) run() {
+	n := min(cap(c.p.sem), len(c.order))
+	c.wg.Add(n)
+	for range n {
+		go c.dispatch()
+	}
+	c.wg.Wait()
+	if taken := min(int(c.next.Load()), len(c.order)); taken < len(c.order) {
+		requests := 0
+		for _, i := range c.order[taken:] {
+			requests += 1 + len(c.dups[i])
 		}
-		if isCancellation(e.res.Err) && ctx.Err() == nil {
-			continue // another caller's cancellation; the entry was evicted
+		c.p.mu.Lock()
+		c.p.stats.JobsRequested -= requests
+		c.p.scheduled -= len(c.order) - taken
+		c.p.mu.Unlock()
+	}
+}
+
+// dispatch takes the call's unique jobs in order, computing each one's
+// key on this goroutine, until none are left or the call is cancelled.
+func (c *call) dispatch() {
+	defer c.wg.Done()
+	for c.ctx.Err() == nil {
+		k := int(c.next.Add(1)) - 1
+		if k >= len(c.order) {
+			return
 		}
-		return e.res, e.storeHit
+		i := c.order[k]
+		c.resolve(i, JobKey(c.norm[i]), false)
+	}
+}
+
+// resolve settles unique job i, keyed key, through the pool's memo: claim
+// the entry or join it, and execute if claimed. On a dispatcher (own ==
+// false) it resolves inline what needs no waiting — an entry already
+// done, a store hit, a local execution, which takes a slot of the
+// pool-wide semaphore like any other — and hands a remote execution or a
+// join of an entry still in flight to a goroutine of its own, since
+// neither holds a CPU while it waits. There (own == true) it waits, and
+// claims again an entry evicted by a *different* caller's cancellation.
+// Only cancellation is worth retrying: a job that failed on its own (e.g.
+// an unreadable trace file) would fail identically again.
+func (c *call) resolve(i int, key string, own bool) {
+	p, j := c.p, c.norm[i]
+	planned := !own // this claim settles the scheduling plan counted
+	for {
+		e, claimed := p.claim(key, planned)
+		planned = false
+		if !claimed {
+			if !own && !e.done() {
+				c.handOff(func() { c.resolve(i, key, true) })
+				return
+			}
+			select {
+			case <-e.ready:
+			case <-c.ctx.Done():
+				c.finish(i, Result{Err: c.ctx.Err()}, false, false)
+				return
+			}
+			if isCancellation(e.res.Err) && c.ctx.Err() == nil {
+				continue // another caller's cancellation; the entry was evicted
+			}
+			c.finish(i, e.res, e.storeHit, true)
+			return
+		}
+		switch {
+		case p.lookup(key, e):
+		case c.remote != nil && j.Workload.TraceDigest == "":
+			// Trace-driven jobs stay local defensively: their payload
+			// carries only the content digest, which a remote worker cannot
+			// resolve back to a readable file. Sweep cells are always
+			// synthetic.
+			remote := func() {
+				p.executeRemote(c.ctx, j, key, e, c.remote)
+				c.finish(i, e.res, false, false)
+			}
+			if own {
+				remote()
+			} else {
+				c.handOff(remote)
+			}
+			return
+		default:
+			p.execute(c.ctx, j, key, e)
+		}
+		c.finish(i, e.res, e.storeHit, false)
+		return
+	}
+}
+
+// handOff runs f on a goroutine of its own that the call waits for.
+func (c *call) handOff(f func()) {
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		f()
+	}()
+}
+
+// finish records unique job i's outcome for i and each of its duplicates,
+// once each. A success counts the duplicates — and i itself when it
+// joined another job's entry — as dedup hits and reports every index to
+// onDone; a failure gives back their requests, so the stats invariant
+// JobsRequested == JobsExecuted + DedupHits + StoreHits + JobsRemote holds
+// at every quiescent point, failures and cancellations included.
+func (c *call) finish(i int, res Result, storeHit, joined bool) {
+	dups := c.dups[i]
+	c.results[i] = res
+	for _, d := range dups {
+		c.results[d] = res
+	}
+	p := c.p
+	if res.Err != nil {
+		p.mu.Lock()
+		p.stats.JobsRequested -= 1 + len(dups)
+		p.mu.Unlock()
+		c.mu.Lock()
+		if c.firstErr == nil {
+			c.firstErr = res.Err
+		}
+		c.mu.Unlock()
+		return
+	}
+	hits := len(dups)
+	if joined {
+		hits++
+	}
+	if hits > 0 {
+		p.mu.Lock()
+		p.stats.DedupHits += hits
+		p.mu.Unlock()
+	}
+	if c.onDone != nil {
+		c.onDone(i, res, storeHit)
+		for _, d := range dups {
+			c.onDone(d, res, storeHit)
+		}
 	}
 }

@@ -320,9 +320,26 @@ func TestPerCoreStats(t *testing.T) {
 	if sum != r.Instructions {
 		t.Fatalf("per-core instructions sum %d != total %d", sum, r.Instructions)
 	}
-	if r.LoadImbalance() < 1 {
-		t.Fatalf("LoadImbalance = %f < 1", r.LoadImbalance())
+	if li := loadImbalance(r); li < 1 {
+		t.Fatalf("load imbalance = %f < 1", li)
 	}
+}
+
+// loadImbalance returns max/mean instructions across cores (1 = perfectly
+// balanced); 0 for an idle machine.
+func loadImbalance(r Result) float64 {
+	var max, sum float64
+	for _, c := range r.PerCore {
+		v := float64(c.Instructions)
+		sum += v
+		if v > max {
+			max = v
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	return max / (sum / float64(len(r.PerCore)))
 }
 
 func TestEventLog(t *testing.T) {

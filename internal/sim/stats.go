@@ -75,28 +75,6 @@ func (r Result) LatencyPercentile(p float64) float64 {
 	return r.Latencies[idx]
 }
 
-// LoadImbalance returns max/mean instructions across cores (1 = perfectly
-// balanced); 0 for an idle machine.
-func (r Result) LoadImbalance() float64 {
-	if len(r.PerCore) == 0 {
-		return 0
-	}
-	var max, sum float64
-	active := 0
-	for _, c := range r.PerCore {
-		v := float64(c.Instructions)
-		sum += v
-		if v > max {
-			max = v
-		}
-		active++
-	}
-	if sum == 0 {
-		return 0
-	}
-	return max / (sum / float64(active))
-}
-
 // IMPKI returns instruction misses per kilo-instruction.
 func (r Result) IMPKI() float64 { return mpki(r.IMisses, r.Instructions) }
 

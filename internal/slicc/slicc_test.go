@@ -372,10 +372,11 @@ func (p *Policy) StrayFraction() float64 {
 	return p.teams.strayFraction()
 }
 
-// strayFraction reports the share of threads classified stray.
+// strayFraction reports the share of threads classified stray: those
+// formation left out of every team.
 func (ts *teamScheduler) strayFraction() float64 {
 	if ts.total == 0 {
 		return 0
 	}
-	return float64(ts.strayCount) / float64(ts.total)
+	return float64(ts.total-len(ts.byThread)) / float64(ts.total)
 }

@@ -51,8 +51,7 @@ type teamScheduler struct {
 	active       []*team
 	byThread     map[int]*team
 
-	strayCount int
-	total      int
+	total int
 }
 
 // newTeamScheduler forms teams from the arrival-ordered thread list. Teams
@@ -71,7 +70,6 @@ func newTeamScheduler(workers []int, threads []*sim.ThreadState) *teamScheduler 
 		if classify(tm.total, ts.n) == smallTeam {
 			// Stray threads are not grouped (Section 4.3.2).
 			ts.strayQ = append(ts.strayQ, tm.threads...)
-			ts.strayCount += tm.total
 			for _, t := range tm.threads {
 				delete(ts.byThread, t.ID)
 			}

@@ -8,7 +8,7 @@ import (
 // The in-memory hot tier caches verified entry payloads above the disk
 // store. It leans entirely on the store's immutability invariant: a key's
 // payload can never change — it can only appear (Put) or disappear
-// (Delete, eviction). Cached payloads therefore need no re-verification,
+// (removal, eviction). Cached payloads therefore need no re-verification,
 // no checksums, and no cross-process invalidation protocol for *content*;
 // the only cross-process staleness possible is about *existence* (a key
 // another process deleted or evicted may still be served from this
@@ -185,8 +185,8 @@ func (t *memTier) insert(key string, payload []byte, copyPayload bool) {
 	}
 }
 
-// invalidate drops key's cached payload (Delete, or the disk tier
-// evicting the entry) and records the key as absent. Not counted as an
+// invalidate drops key's cached payload (the disk tier evicting the
+// entry) and records the key as absent. Not counted as an
 // eviction: evictions measure budget pressure, invalidations track the
 // disk tier's truth.
 func (t *memTier) invalidate(key string) {

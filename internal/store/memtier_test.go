@@ -73,7 +73,7 @@ func TestMemTierDeleteInvalidates(t *testing.T) {
 	if err := s.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("k"); err != nil {
+	if err := deleteEntry(s, "k"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get("k"); ok {
@@ -302,7 +302,7 @@ func TestCrossProcessCoherence(t *testing.T) {
 	// Stale existence: B deletes; A's cached copy may still serve. That is
 	// the documented tradeoff — and the bytes are still the one true
 	// payload for the key, never stale content.
-	if err := b.Delete("k"); err != nil {
+	if err := deleteEntry(b, "k"); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := a.Get("k"); ok && !bytes.Equal(got, payload) {
@@ -356,7 +356,7 @@ func TestMemTierConcurrent(t *testing.T) {
 					s.Contains(key)
 				case 3:
 					if i%17 == 0 {
-						_ = s.Delete(key)
+						_ = deleteEntry(s, key)
 					}
 				}
 			}

@@ -119,7 +119,7 @@ func TestStatsOwnWritesInvalidate(t *testing.T) {
 	wantExact(t, s, "after Put")
 
 	remember(2 * time.Hour)
-	if err := s.Delete("k-0"); err != nil {
+	if err := deleteEntry(s, "k-0"); err != nil {
 		t.Fatal(err)
 	}
 	wantExact(t, s, "after Delete")
@@ -147,7 +147,7 @@ func TestStatsSeesForeignWrites(t *testing.T) {
 
 	age(t, dir, 2*time.Hour)
 	wantExact(t, s, "remembered, 8 entries")
-	if err := other.Delete("k-3"); err != nil {
+	if err := deleteEntry(other, "k-3"); err != nil {
 		t.Fatal(err)
 	}
 	wantExact(t, s, "after a foreign Delete")
@@ -190,7 +190,7 @@ func TestStatsConcurrent(t *testing.T) {
 					t.Error(err)
 				}
 				if i%3 == 0 {
-					if err := s.Delete(key); err != nil {
+					if err := deleteEntry(s, key); err != nil {
 						t.Error(err)
 					}
 				}

@@ -52,10 +52,10 @@
 // Options.MemBytes enables a sharded in-memory hot tier above the disk
 // store (see memtier.go). A memory hit returns the verified payload with
 // no disk I/O, no checksum work and no allocation; disk hits promote
-// into the tier, Put inserts, and Delete or disk eviction invalidate. A
+// into the tier, Put inserts, and disk eviction invalidates. A
 // small negative cache short-circuits repeated misses. Because entries
 // are immutable, the tier can never serve stale *content*; the only
-// cross-process staleness is about *existence* (another process's Delete
+// cross-process staleness is about *existence* (another process's removal
 // or eviction is not seen by a key already cached here), which is benign
 // and documented on Get.
 //
@@ -63,9 +63,8 @@
 //
 // Stats reports the directory's entry count and total bytes without
 // listing it when nothing has changed. Every change to the entry set moves
-// the directory's mtime — link/rename in Put, unlink in Delete and
-// eviction, and the same calls made by any other process sharing the
-// directory — while Get's LRU touch changes an entry file's mtime, not the
+// the directory's mtime — link/rename in Put, unlink in eviction, and
+// the same calls made by any other process sharing the directory — while Get's LRU touch changes an entry file's mtime, not the
 // directory's, and a queue kept in a subdirectory churns only that
 // subdirectory. So Stats stats the directory: an mtime equal to the one its
 // last listing was taken under returns that listing's numbers; anything
@@ -268,7 +267,7 @@ func (s *Store) path(key string) string {
 // With the memory tier enabled (Options.MemBytes > 0) the returned slice
 // may be shared with other callers and with the tier itself, and must be
 // treated as read-only; a memory hit may also briefly outlive another
-// process's Delete or eviction of the key (stale existence, never stale
+// process's removal or eviction of the key (stale existence, never stale
 // content — entries are immutable).
 func (s *Store) Get(key string) (payload []byte, ok bool) {
 	return s.lookup(key, true)
@@ -448,21 +447,6 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	if s.opts.MaxBytes > 0 {
 		s.evict(final)
-	}
-	return nil
-}
-
-// Delete removes key's entry if present, from disk and the memory tier.
-func (s *Store) Delete(key string) error {
-	if s.isClosed() {
-		return errors.New("store: closed")
-	}
-	err := os.Remove(s.path(key))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.mem != nil {
-		s.mem.invalidate(key)
 	}
 	return nil
 }

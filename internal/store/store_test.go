@@ -5,13 +5,32 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 )
+
+// deleteEntry removes key's entry if present, from disk and the memory
+// tier — what disk eviction does to one key, or another process removing
+// it.
+func deleteEntry(s *Store, key string) error {
+	if s.isClosed() {
+		return errors.New("store: closed")
+	}
+	err := os.Remove(s.path(key))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: %w", err)
+	}
+	if s.mem != nil {
+		s.mem.invalidate(key)
+	}
+	return nil
+}
 
 func mustOpen(t testing.TB, dir string, opts Options) *Store {
 	t.Helper()
